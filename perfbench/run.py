@@ -27,7 +27,7 @@ from contextlib import nullcontext
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-BLAS_THREADS = 1  # at or below nproc; 2 threads make vanilla attention slower here
+BLAS_THREADS = 1  # at or below nproc; on 2 cores, 2 threads made vanilla attention slower
 SETUP_REPS = 3
 MIN_OPS = 4
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
