@@ -33,7 +33,7 @@ from .losses import LossConfig
 from .priors import PriorBank, PriorShape, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
 from .rngutil import substream
 from .synth import SceneConfig, generate_scene
-from .tensorad import Tensor
+from .tensorad import ContractViolation, Tensor
 from .training import (
     TrainConfig,
     build_dataset,
@@ -363,19 +363,24 @@ def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
             resolved.append(v)
         else:
             raise CliError(f"unknown attention variant {v!r}; choose from {sorted(name_map)}")
+    if cfg.bench.repeats < 1:
+        raise CliError(f"bench.repeats must be >= 1, got {cfg.bench.repeats}")
     _snapshot(cfg, "bench-attn")
-    rows = benchmark_attention(
-        resolved,
-        repeats=cfg.bench.repeats,
-        channels=cfg.bench.channels,
-        num_heads=cfg.bench.n_heads,
-        num_levels=cfg.bench.num_levels,
-        num_points=cfg.bench.num_points,
-        queries=cfg.bench.queries,
-        h=cfg.bench.h,
-        w=cfg.bench.w,
-        seed=cfg.seed,
-    )
+    try:
+        rows = benchmark_attention(
+            resolved,
+            repeats=cfg.bench.repeats,
+            channels=cfg.bench.channels,
+            num_heads=cfg.bench.n_heads,
+            num_levels=cfg.bench.num_levels,
+            num_points=cfg.bench.num_points,
+            queries=cfg.bench.queries,
+            h=cfg.bench.h,
+            w=cfg.bench.w,
+            seed=cfg.seed,
+        )
+    except ContractViolation as e:
+        raise CliError(f"bench config: {e}") from e
     table = [["variant", "M", "N", "queries", "mean_ms", "sd_ms", "sample_count"]]
     for r in rows:
         table.append([r["variant"], str(r["M"]), str(r["N"]), str(r["queries"]),

@@ -26,6 +26,7 @@ from .geometry import (
     chamfer,
     denormalize,
 )
+from .tensorad import stable_sigmoid
 
 CHAMFER_THRESHOLDS = (0.5, 1.0, 1.5)
 
@@ -173,18 +174,9 @@ def evaluate(
 # --------------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def predictions_from_output(class_logits: np.ndarray, point_coords: np.ndarray, extent: BevExtent) -> list[Prediction]:
     """Turn final-layer logits and normalized points into scored map elements."""
-    probs = _sigmoid(np.asarray(class_logits, dtype=np.float64))
+    probs = stable_sigmoid(np.asarray(class_logits, dtype=np.float64))
     out = []
     for q in range(probs.shape[0]):
         class_id = int(probs[q].argmax())

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import BevExtent, MapElement, equivalent_orderings, normalize
+from .tensorad import stable_sigmoid
 
 
 class MatchingError(ValueError):
@@ -89,15 +90,6 @@ def _focal_class_cost(probs: np.ndarray, class_id: int, cfg: CostConfig) -> np.n
     return pos - neg
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def pair_cost(
     pred_logits: np.ndarray,
     pred_points: np.ndarray,
@@ -115,7 +107,7 @@ def pair_cost_with_ordering(
     gt: GtTarget,
     cfg: CostConfig,
 ) -> tuple[float, int]:
-    probs = _sigmoid(np.asarray(pred_logits, dtype=np.float64)[None, :])
+    probs = stable_sigmoid(np.asarray(pred_logits, dtype=np.float64)[None, :])
     cls = float(_focal_class_cost(probs, gt.class_id, cfg)[0])
     diffs = np.abs(pred_points[None, :, :] - gt.orderings).mean(axis=(1, 2))
     ordering = int(diffs.argmin())
@@ -131,7 +123,7 @@ def cost_matrix(
     """Full (G, Q) cost matrix plus the argmin ordering per pair."""
     q = pred_points.shape[0]
     g = len(gts)
-    probs = _sigmoid(np.asarray(pred_logits, dtype=np.float64))
+    probs = stable_sigmoid(np.asarray(pred_logits, dtype=np.float64))
     costs = np.zeros((g, q))
     orderings = np.zeros((g, q), dtype=np.int64)
     for i, gt in enumerate(gts):

@@ -17,6 +17,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "ContractViolation",
@@ -24,7 +25,6 @@ __all__ = [
     "Tape",
     "GradMap",
     "tensor",
-    "constant",
     "primitive_forward",
     "registered_primitives",
     "backward",
@@ -37,6 +37,7 @@ __all__ = [
     "softmax",
     "relu",
     "sigmoid",
+    "stable_sigmoid",
     "inverse_sigmoid",
     "layer_normalize",
     "concat",
@@ -138,11 +139,6 @@ class Tensor:
 
 
 def tensor(values) -> Tensor:
-    return Tensor(values)
-
-
-def constant(values) -> Tensor:
-    """Alias of `tensor`; marks arrays that are data rather than parameters."""
     return Tensor(values)
 
 
@@ -433,7 +429,8 @@ _register(
 )
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, overflow-free for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -443,7 +440,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _fwd_sigmoid(ins, p):
-    y = _stable_sigmoid(ins[0])
+    y = stable_sigmoid(ins[0])
     return y, (y,)
 
 
@@ -646,12 +643,25 @@ def _fwd_gather(ins, p):
     return np.take(x, idx, axis=axis), (x.shape, axis, idx)
 
 
+def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Sum weights[r] * src[r] into row rows[r] of an (n_rows, C) zero array.
+
+    The sum runs in increasing r, the order of numpy's unbuffered `ufunc.at`
+    scatter, so results match it bit for bit: the transpose of a
+    one-nonzero-per-row CSR matrix is applied column by column.
+    """
+    n = rows.size
+    data = np.ones(n) if weights is None else weights
+    spread = sp.csr_array((data, rows, np.arange(n + 1)), shape=(n, n_rows))
+    return spread.T @ src
+
+
 def _bwd_gather(node, g):
     shape, axis, idx = node.ctx
-    gx = np.zeros(shape)
-    gx_m = np.moveaxis(gx, axis, 0)
-    np.add.at(gx_m, idx, np.moveaxis(g, axis, 0))
-    return [gx]
+    g_m = np.moveaxis(g, axis, 0)
+    rest = g_m.shape[1:]
+    flat = _scatter_rows(idx, g_m.reshape(idx.size, math.prod(rest)), shape[axis])
+    return [np.ascontiguousarray(np.moveaxis(flat.reshape((shape[axis],) + rest), 0, axis))]
 
 
 _register("gather", _fwd_gather, _bwd_gather)
@@ -673,7 +683,7 @@ def _fwd_softplus(ins, p):
     return y, (x,)
 
 
-_register("softplus", _fwd_softplus, lambda node, g: [g * _stable_sigmoid(node.ctx[0])])
+_register("softplus", _fwd_softplus, lambda node, g: [g * stable_sigmoid(node.ctx[0])])
 
 
 def _fwd_add_rows(ins, p):
@@ -728,15 +738,23 @@ _register("power", _fwd_power, _bwd_power)
 
 # --------------------------------------------------------------------------
 # Bilinear sampling (align-corners-false, zero padding outside the grid)
+#
+# The kernel is a sparse blend operator: a K x h*w CSR matrix holding each
+# sample's four corner weights, applied to a channel-last (h*w, C) copy of
+# the grid.  Every summation order is pinned on purpose and matches the
+# dense gather / einsum / `ufunc.at` scatter formulation bit for bit
+# (tests/test_tensorad.py keeps it as the reference): training is chaotic
+# in rounding, so a reordered sum grows into a different model within a
+# few dozen steps.
 # --------------------------------------------------------------------------
 
 
 def _bilinear_pieces(grid: np.ndarray, pts: np.ndarray):
-    """Corner indices, raw corner values, and masked blend weights.
+    """Corner indices and masked blend weights for K points on a C x h x w grid.
 
-    Returns lin (4, K) clipped flat indices, valid (4, K), vals (4, K, C)
-    gathered at the clipped positions, weights (4, K) with out-of-bounds
-    corners zeroed (zero padding), and the fractional offsets fi, fj (K,).
+    Returns lin (4, K) clipped flat indices into h*w, valid (4, K), weights
+    (4, K) with out-of-bounds corners zeroed (zero padding), and the
+    fractional offsets fi, fj (K,).  Corners run (0,0), (0,1), (1,0), (1,1).
     """
     c, h, w = grid.shape
     ci = pts[:, 0] * h - 0.5
@@ -751,34 +769,37 @@ def _bilinear_pieces(grid: np.ndarray, pts: np.ndarray):
     jj = j0[None, :] + dj
     valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
     lin = np.clip(ii, 0, h - 1) * w + np.clip(jj, 0, w - 1)
-    vals = grid.reshape(c, h * w).T[lin]  # (4, K, C), raw values at clipped corners
     wi = np.where(di == 1, fi[None, :], 1.0 - fi[None, :])
     wj = np.where(dj == 1, fj[None, :], 1.0 - fj[None, :])
     weights = wi * wj * valid  # masking the weight implements zero padding
-    return lin, valid, vals, weights, fi, fj
+    return lin, valid, weights, fi, fj
 
 
 def _fwd_bilinear(ins, p):
     grid, pts = ins
     _require(grid.ndim == 3, f"bilinear_sample: grid must be C x h x w, got {grid.shape}")
     _require(pts.ndim == 2 and pts.shape[1] == 2, f"bilinear_sample: pts must be K x 2, got {pts.shape}")
-    lin, valid, vals, weights, fi, fj = _bilinear_pieces(grid, pts)
-    out = np.einsum("fkc,fk->kc", vals, weights)
-    return out, (grid.shape, lin, valid, vals, weights, fi, fj)
+    c, h, w = grid.shape
+    k = pts.shape[0]
+    lin, valid, weights, fi, fj = _bilinear_pieces(grid, pts)
+    table = np.ascontiguousarray(grid.reshape(c, h * w).T)  # (h*w, C), channel-last
+    # row k holds its four corners in corner order; explicit zeros and clipped
+    # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
+    blend = sp.csr_array((weights.T.ravel(), lin.T.ravel(), np.arange(0, 4 * k + 1, 4)), shape=(k, h * w))
+    return blend @ table, (grid.shape, table, lin, valid, weights, fi, fj)
 
 
 def _bwd_bilinear(node, g):
-    shape, lin, valid, vals, weights, fi, fj = node.ctx
+    shape, table, lin, valid, weights, fi, fj = node.ctx
     c, h, w = shape
-    # grid gradient: scatter weighted upstream grads into the 4 corners;
-    # out-of-bounds corners carry weight 0, so their clipped scatter is a no-op
-    g_grid_flat = np.zeros((h * w, c))
-    scaled = weights[:, :, None] * g[None, :, :]  # (4, K, C)
-    np.add.at(g_grid_flat, lin.reshape(-1), scaled.reshape(-1, c))
-    g_grid = g_grid_flat.T.reshape(c, h, w)
+    # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
+    # major then by sample; out-of-bounds corners carry weight 0, so their
+    # clipped scatter adds zero
+    g_flat = _scatter_rows(lin.ravel(), np.tile(g, (4, 1)), h * w, weights.ravel())
+    g_grid = g_flat.T.reshape(c, h, w)
     # point gradient: derivative of the blend weights wrt the fractional offsets;
     # out-of-bounds corners contribute zero, so mask their value dot products
-    dots = np.einsum("fkc,kc->fk", vals, g) * valid  # (4, K)
+    dots = np.stack([np.einsum("kc,kc->k", table[lin_f], g) for lin_f in lin]) * valid  # (4, K)
     v00, v01, v10, v11 = dots
     d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
     d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11

@@ -115,6 +115,22 @@ def test_bench_attn_csv(tmp_path):
     assert rows[2][0] == "dmd_scale_then_sample" and rows[2][-1] == "7"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--repeats", "0"], "bench.repeats must be >= 1"),
+    (["--repeats", "1", "--set", "bench.channels=30"], "channels 30 not divisible by heads 8"),
+])
+def test_bench_attn_bad_config_is_cli_error(tmp_path, capsys, args, message):
+    rc = cli.main([
+        "bench-attn", "--variant", "vanilla", "--out", str(tmp_path / "bench"), *args,
+        "--set", "bench.queries=10", "--set", "bench.h=20", "--set", "bench.w=10",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (CliError):") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bench" / "bench_attn.csv").exists()
+
+
 def test_rerun_from_snapshot_reproduces(pipeline, tmp_path):
     root, data, bank, run_dir = pipeline
     data2 = str(tmp_path / "data2")

@@ -155,7 +155,8 @@ def test_min_area_rect_rotated():
     base = np.array([[-2.0, -1.0], [2.0, -1.0], [2.0, 1.0], [-2.0, 1.0]])
     pts = base @ rot.T + 5.0
     rect = min_area_rect(resample(pts, 20, closed=True))
-    area = abs(np.cross(rect[1] - rect[0], rect[3] - rect[0]))
+    u, v = rect[1] - rect[0], rect[3] - rect[0]
+    area = abs(u[0] * v[1] - u[1] * v[0])
     assert area == pytest.approx(8.0, rel=1e-6)
 
 

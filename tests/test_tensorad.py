@@ -353,3 +353,88 @@ def test_grad_check_reports_inf_on_non_finite():
         return ta.reduce_sum(ta.scale(x, math.inf))
 
     assert ta.grad_check(f, [Tensor([1.0])]) == math.inf
+
+
+# --------------------------------------------------------------------------
+# Bilinear and gather kernels: byte-identical to the dense reference
+# --------------------------------------------------------------------------
+
+
+def _dense_bilinear(grid, pts, g, corner_major=True):
+    """Reference kernel: corner gather through the transposed (C, h*w) view,
+    einsum blend and dot products, `np.add.at` scatter.  Returns the output,
+    the grid gradient and the point gradient for upstream gradient g."""
+    c, h, w = grid.shape
+    ci = pts[:, 0] * h - 0.5
+    cj = pts[:, 1] * w - 0.5
+    i0 = np.floor(ci).astype(np.int64)
+    j0 = np.floor(cj).astype(np.int64)
+    fi = ci - i0
+    fj = cj - j0
+    di = np.array([0, 0, 1, 1])[:, None]
+    dj = np.array([0, 1, 0, 1])[:, None]
+    ii = i0[None, :] + di
+    jj = j0[None, :] + dj
+    valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+    lin = np.clip(ii, 0, h - 1) * w + np.clip(jj, 0, w - 1)
+    vals = grid.reshape(c, h * w).T[lin]
+    wi = np.where(di == 1, fi[None, :], 1.0 - fi[None, :])
+    wj = np.where(dj == 1, fj[None, :], 1.0 - fj[None, :])
+    weights = wi * wj * valid
+    out = np.einsum("fkc,fk->kc", vals, weights)
+    g_grid_flat = np.zeros((h * w, c))
+    scaled = weights[:, :, None] * g[None, :, :]
+    if corner_major:
+        np.add.at(g_grid_flat, lin.reshape(-1), scaled.reshape(-1, c))
+    else:
+        np.add.at(g_grid_flat, lin.T.reshape(-1), scaled.transpose(1, 0, 2).reshape(-1, c))
+    g_grid = g_grid_flat.T.reshape(c, h, w)
+    dots = np.einsum("fkc,kc->fk", vals, g) * valid
+    v00, v01, v10, v11 = dots
+    d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
+    d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
+    g_pts = np.stack([d_fi * h, d_fj * w], axis=1)
+    return out, g_grid, g_pts
+
+
+def _tape_bilinear(grid, pts, g):
+    with Tape() as tape:
+        gt, pt = Tensor(grid), Tensor(pts)
+        out = ta.bilinear_sample(gt, pt)
+        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(out, Tensor(g))))
+    return out.values, grads.of(gt), grads.of(pt)
+
+
+@pytest.mark.parametrize("c,h,w,k", [(1, 5, 4, 60), (3, 6, 7, 200), (16, 4, 4, 500), (256, 12, 9, 300)])
+def test_bilinear_matches_dense_reference_bytes(c, h, w, k):
+    rng = np.random.default_rng(c * 1000 + k)
+    grid = rng.normal(size=(c, h, w))
+    pts = rng.uniform(-0.2, 1.2, size=(k, 2))  # some corners fall outside
+    pts[:8, 0] = 1.0 - 0.25 / h  # last row: clipped bottom corners collide
+    pts[8:16, 1] = 1.0 - 0.25 / w  # last column
+    pts[16] = (3.0, -2.0)  # all four weights zero
+    g = rng.normal(size=(k, c))
+    got = _tape_bilinear(grid, pts, g)
+    want = _dense_bilinear(grid, pts, g)
+    for name, a, b in zip(("output", "grid grad", "point grad"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # many samples share each cell, so the scatter order is visible in the bytes
+    sample_major = _dense_bilinear(grid, pts, g, corner_major=False)[1]
+    assert sample_major.tobytes() != want[1].tobytes()
+
+
+@pytest.mark.parametrize("shape,axis", [((6, 5), 0), ((3, 6, 4), 1)])
+def test_gather_backward_matches_add_at_bytes(shape, axis):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=shape)
+    idx = rng.permutation(np.repeat(np.arange(shape[axis]), 5))  # every index five times
+    out_shape = list(shape)
+    out_shape[axis] = idx.size
+    g = rng.normal(size=out_shape)
+    with Tape() as tape:
+        xt = Tensor(x)
+        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(ta.gather(xt, idx, axis=axis), Tensor(g))))
+    want = np.zeros(shape)
+    np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(g, axis, 0))
+    got = grads.of(xt)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
