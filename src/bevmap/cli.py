@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -28,14 +30,14 @@ from .config import (
 )
 from .decoder import DecoderConfig
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
-from .geometry import BevExtent, Scene, load_scene, save_scene
-from .losses import LossConfig
-from .priors import PriorBank, PriorShape, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
+from .geometry import Scene, load_scene, save_scene
+from .priors import BankParseError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
 from .rngutil import substream
-from .synth import SceneConfig, generate_scene
-from .tensorad import ContractViolation, Tensor
+from .synth import generate_scene
+from .tensorad import ContractViolation
 from .training import (
-    TrainConfig,
+    Checkpoint,
+    CheckpointError,
     build_dataset,
     final_epoch_mean,
     load_checkpoint,
@@ -53,59 +55,6 @@ class CliError(RuntimeError):
 # --------------------------------------------------------------------------
 # Config assembly helpers
 # --------------------------------------------------------------------------
-
-
-def _scene_config(cfg: RunConfig) -> SceneConfig:
-    s = cfg.scenes
-    extent = BevExtent(s.extent.x_min, s.extent.x_max, s.extent.y_min, s.extent.y_max, s.extent.h, s.extent.w)
-    return SceneConfig(
-        extent=extent,
-        n_points=s.n_points,
-        divider_count=tuple(s.divider_count),
-        crossing_count=tuple(s.crossing_count),
-        boundary_count=tuple(s.boundary_count),
-        divider_curvature=tuple(s.divider_curvature),
-        divider_span=tuple(s.divider_span),
-        divider_lanes=s.divider_lanes,
-        lane_jitter=s.lane_jitter,
-        crossing_size=tuple(s.crossing_size),
-        crossing_slots=s.crossing_slots,
-        slot_jitter=s.slot_jitter,
-        boundary_margin=s.boundary_margin,
-        noise_sd=s.noise_sd,
-    )
-
-
-def _decoder_config(cfg: RunConfig) -> DecoderConfig:
-    d = cfg.decoder
-    return DecoderConfig(
-        n_instances=d.n_instances,
-        n_prior=d.n_prior,
-        n_points=cfg.scenes.n_points,
-        channels=cfg.features.channels,
-        n_layers=d.n_layers,
-        n_heads=d.n_heads,
-        ffn_dim=d.ffn_dim,
-        head_hidden=d.head_hidden,
-        variant=d.variant,
-        num_levels=cfg.features.num_levels,
-        num_points_attn=d.num_points_attn,
-    )
-
-
-def _loss_config(cfg: RunConfig) -> LossConfig:
-    l = cfg.loss
-    return LossConfig(
-        lambda_var=l.lambda_var,
-        lambda_dist=l.lambda_dist,
-        delta_v=l.delta_v,
-        delta_d=l.delta_d,
-        lambda_cls=l.lambda_cls,
-        lambda_pts=l.lambda_pts,
-        lambda_disc=l.lambda_disc,
-        focal_alpha=l.focal_alpha,
-        focal_gamma=l.focal_gamma,
-    )
 
 
 def _require_path(path: str, what: str) -> str:
@@ -145,6 +94,18 @@ def _snapshot(cfg: RunConfig, command: str) -> None:
     save_config(cfg, os.path.join(cfg.io.out_dir, f"{command}_config.json"), command=command)
 
 
+def _feature_dataset(scenes: list[Scene], cfg: RunConfig):
+    f = cfg.features
+    return build_dataset(
+        scenes,
+        channels=f.channels,
+        num_levels=f.num_levels,
+        seed=cfg.seed,
+        truncation=f.truncation,
+        feature_noise_sd=f.noise_sd,
+    )
+
+
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -152,12 +113,11 @@ def _snapshot(cfg: RunConfig, command: str) -> None:
 
 def cmd_gen_data(cfg: RunConfig) -> None:
     _snapshot(cfg, "gen-data")
-    scene_cfg = _scene_config(cfg)
     scenes_dir = os.path.join(cfg.io.out_dir, "scenes")
     os.makedirs(scenes_dir, exist_ok=True)
     seeds = substream(cfg.seed, "gen-data").integers(0, 2**63, size=cfg.scenes.count)
     for i, scene_seed in enumerate(seeds):
-        scene = generate_scene(scene_cfg, int(scene_seed))
+        scene = generate_scene(cfg.scenes, int(scene_seed))
         save_scene(scene, os.path.join(scenes_dir, f"scene_{i:05d}.json"))
     manifest = {
         "count": cfg.scenes.count,
@@ -192,62 +152,41 @@ def cmd_fit_priors(cfg: RunConfig) -> None:
     print(f"fit-priors: k={cfg.priors.k}, kept {bank.n_pri} priors -> {out_path}")
 
 
-def _bank_arrays(bank: PriorBank | None) -> dict[str, np.ndarray]:
-    if bank is None or bank.n_pri == 0:
-        return {}
-    kinds = np.array([1 if p.kind == "polygon" else 0 for p in bank.priors], dtype=np.int64)
-    points = np.stack([p.points for p in bank.priors])
-    return {"_prior.points": points, "_prior.kinds": kinds}
-
-
-def _bank_from_arrays(data: dict[str, np.ndarray]) -> PriorBank | None:
-    if "_prior.points" not in data:
-        return None
-    kinds = data["_prior.kinds"]
-    points = data["_prior.points"]
-    priors = [
-        PriorShape("polygon" if k == 1 else "polyline", points[i]) for i, k in enumerate(kinds)
-    ]
-    return PriorBank(priors)
-
-
 def cmd_train(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    _snapshot(cfg, "train")
     scenes = _load_scene_dir(data_dir)
-    decoder_cfg = _decoder_config(cfg)
     for scene in scenes:
         scene.validate(cfg.scenes.n_points)
+    fingerprint = _dataset_fingerprint(data_dir)
 
     bank = None
     if cfg.train.prior_mode == "prior":
         priors_path = _require_path(cfg.io.priors_path, "prior bank (io.priors_path)")
-        bank = load_bank(priors_path)
-        check_fingerprint(bank, _dataset_fingerprint(data_dir))
+        try:
+            bank = load_bank(priors_path)
+        except BankParseError as e:
+            raise CliError(str(e)) from e
+        n_prior, n_points = cfg.decoder.n_prior, cfg.scenes.n_points
+        if bank.n_pri < n_prior or (n_prior and bank.n_p != n_points):
+            raise CliError(
+                f"{priors_path}: bank holds {bank.n_pri} shapes of {bank.n_p} points, the decoder "
+                f"needs decoder.n_prior={n_prior} shapes of scenes.n_points={n_points} points"
+            )
+        check_fingerprint(bank, fingerprint)
+    _snapshot(cfg, "train")
 
-    dataset = build_dataset(
-        scenes,
-        channels=cfg.features.channels,
-        num_levels=cfg.features.num_levels,
-        seed=cfg.seed,
-        truncation=cfg.features.truncation,
-        feature_noise_sd=cfg.features.noise_sd,
-    )
-    train_cfg = TrainConfig(
-        steps=cfg.train.steps,
-        lr=cfg.train.lr,
-        optimizer=cfg.train.optimizer,
-        seed=cfg.seed,
-        prior_mode=cfg.train.prior_mode,
-        feature_noise_sd=cfg.train.feature_noise_sd,
-    )
-    params, eff_bank, eff_cfg = setup_run(decoder_cfg, bank, train_cfg, init_sd=cfg.decoder.init_sd)
-    result = train(params, eff_bank, dataset, eff_cfg, train_cfg, loss_cfg=_loss_config(cfg))
+    params, eff_bank, eff_cfg = setup_run(cfg.decoder_cfg, bank, cfg.train_cfg, init_sd=cfg.decoder.init_sd)
+    result = train(params, eff_bank, _feature_dataset(scenes, cfg), eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
 
     out_dir = cfg.io.out_dir
-    ckpt = os.path.join(out_dir, "checkpoint.npz")
-    extras = _bank_arrays(eff_bank)
-    np.savez(ckpt, **{k: t.values for k, t in result.params.items()}, **extras)
+    save_checkpoint(
+        result.params,
+        os.path.join(out_dir, "checkpoint.npz"),
+        eff_cfg,
+        eff_bank,
+        features=dataclasses.asdict(cfg.features),
+        dataset_fingerprint=fingerprint,
+    )
 
     log_path = os.path.join(out_dir, "train_log.csv")
     u_cols = [f"u_layer{i}" for i in range(1, eff_cfg.n_layers)]
@@ -282,17 +221,9 @@ def cmd_train(cfg: RunConfig) -> None:
 def _evaluate_params(params, bank, scenes, cfg: RunConfig, decoder_cfg: DecoderConfig):
     from .decoder import forward
 
-    dataset = build_dataset(
-        scenes,
-        channels=cfg.features.channels,
-        num_levels=cfg.features.num_levels,
-        seed=cfg.seed,
-        truncation=cfg.features.truncation,
-        feature_noise_sd=cfg.features.noise_sd,
-    )
     preds_per_scene = []
     gts_per_scene = []
-    for item in dataset:
+    for item in _feature_dataset(scenes, cfg):
         levels = project_pyramid(item.pyramid.levels, params)
         outputs = forward(params, bank, levels, decoder_cfg)
         final = outputs[-1]
@@ -303,18 +234,10 @@ def _evaluate_params(params, bank, scenes, cfg: RunConfig, decoder_cfg: DecoderC
     return evaluate(preds_per_scene, gts_per_scene, tuple(cfg.eval.thresholds))
 
 
-def cmd_eval(cfg: RunConfig) -> None:
-    data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    ckpt_path = _require_path(cfg.io.checkpoint_path, "checkpoint (io.checkpoint_path)")
+def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
+    scenes = _load_scene_dir(_require_path(cfg.io.data_dir, "scene dataset (io.data_dir)"))
     _snapshot(cfg, "eval")
-    scenes = _load_scene_dir(data_dir)
-    with np.load(ckpt_path) as data:
-        params = {k: Tensor(data[k]) for k in data.files if not k.startswith("_prior.")}
-        bank = _bank_from_arrays({k: data[k] for k in data.files if k.startswith("_prior.")})
-    decoder_cfg = _decoder_config(cfg)
-    if bank is None:
-        decoder_cfg = DecoderConfig(**{**decoder_cfg.__dict__, "n_prior": 0})
-    report = _evaluate_params(params, bank, scenes, cfg, decoder_cfg)
+    report = _evaluate_params(ckpt, ckpt.bank, scenes, cfg, ckpt.decoder_cfg)
     out_dir = cfg.io.out_dir
     with open(os.path.join(out_dir, "eval_report.json"), "w") as f:
         json.dump(report_to_dict(report), f, indent=2, sort_keys=True)
@@ -323,7 +246,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     print(f"eval: mAP={report.mean_ap:.4f} over {len(scenes)} scenes -> {out_dir}")
 
 
-def cmd_stability_report(cfg: RunConfig, runs: list[str], out_path: str) -> None:
+def cmd_stability_report(runs: list[str], out_path: str) -> None:
     entries = []
     for run_dir in runs:
         path = _require_path(os.path.join(run_dir, "stability.json"), "run stability summary")
@@ -396,19 +319,41 @@ def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def _base_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    flag_overrides = []
-    for dotted, value in getattr(args, "_flag_overrides", []):
-        flag_overrides.append(f"{dotted}={json.dumps(value)}")
-    cfg = apply_overrides(cfg, flag_overrides + (args.set or []))
-    return cfg
+def _resolve(args, base: RunConfig) -> RunConfig:
+    """`base`, then --config, the command flags and --set on top.  A flag's
+    dest is the config key it sets."""
+    cfg = load_config(args.config, base) if args.config else base
+    sections = {f.name for f in dataclasses.fields(RunConfig)}
+    flags = [
+        f"{dest}={json.dumps(value)}"
+        for dest, value in vars(args).items()
+        if value is not None and dest.split(".")[0] in sections
+    ]
+    return apply_overrides(cfg, flags + (args.set or []))
 
 
-def _collect_flag(args, flag: str, dotted: str) -> None:
-    value = getattr(args, flag, None)
-    if value is not None:
-        args._flag_overrides.append((dotted, value))
+def _eval_config(args) -> tuple[RunConfig, Checkpoint]:
+    """The eval config resolved on top of the model its checkpoint records;
+    a model key that then differs from the checkpoint is an error."""
+    path = _require_path(_resolve(args, RunConfig()).io.checkpoint_path, "checkpoint (io.checkpoint_path)")
+    try:
+        ckpt = load_checkpoint(path)
+    except CheckpointError as e:
+        raise CliError(str(e)) from e
+    if ckpt.decoder_cfg is None or ckpt.features is None:
+        raise CliError(f"{path}: checkpoint records no decoder or features config")
+    model = dataclasses.asdict(ckpt.decoder_cfg)
+    defaults = RunConfig()
+    pinned = {f"decoder.{k}": v for k, v in model.items() if hasattr(defaults.decoder, k)}
+    pinned.update({f"features.{k}": v for k, v in ckpt.features.items()})
+    pinned["scenes.n_points"] = model["n_points"]
+    base = apply_overrides(defaults, [f"{k}={json.dumps(v)}" for k, v in pinned.items()])
+    cfg = _resolve(args, base)
+    for key, value in pinned.items():
+        actual = functools.reduce(getattr, key.split("."), cfg)
+        if actual != value:
+            raise CliError(f"{key} is {actual!r} but the checkpoint {path} has {value!r}")
+    return cfg, ckpt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,36 +364,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run config or effective-config snapshot")
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override a config value (repeatable)")
-        p.add_argument("--out", help="output directory (io.out_dir)")
+        p.add_argument("--out", dest="io.out_dir", help="output directory (io.out_dir)")
         p.add_argument("--seed", type=int, help="global seed")
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
     common(p)
-    p.add_argument("--count", type=int, help="number of scenes (scenes.count)")
+    p.add_argument("--count", dest="scenes.count", type=int, help="number of scenes (scenes.count)")
 
     p = sub.add_parser("fit-priors", help="cluster map elements and abstract priors")
     common(p)
-    p.add_argument("--scenes", help="dataset directory from gen-data (io.data_dir)")
-    p.add_argument("--k", type=int, help="number of clusters (priors.k)")
-    p.add_argument("--n-pri", type=int, dest="n_pri", help="priors to keep (priors.n_pri)")
-    p.add_argument("--out-file", dest="out_file", help="bank output path (io.priors_path)")
+    p.add_argument("--scenes", dest="io.data_dir", help="dataset directory from gen-data (io.data_dir)")
+    p.add_argument("--k", dest="priors.k", type=int, help="number of clusters (priors.k)")
+    p.add_argument("--n-pri", dest="priors.n_pri", type=int, help="priors to keep (priors.n_pri)")
+    p.add_argument("--out-file", dest="io.priors_path", help="bank output path (io.priors_path)")
 
     p = sub.add_parser("train", help="train the toy decoder")
     common(p)
-    p.add_argument("--data", help="training dataset directory (io.data_dir)")
-    p.add_argument("--val", help="validation dataset directory (io.val_dir)")
-    p.add_argument("--priors", help="prior bank path (io.priors_path)")
-    p.add_argument("--prior-mode", dest="prior_mode", choices=["prior", "random"],
+    p.add_argument("--data", dest="io.data_dir", help="training dataset directory (io.data_dir)")
+    p.add_argument("--val", dest="io.val_dir", help="validation dataset directory (io.val_dir)")
+    p.add_argument("--priors", dest="io.priors_path", help="prior bank path (io.priors_path)")
+    p.add_argument("--prior-mode", dest="train.prior_mode", choices=["prior", "random"],
                    help="reference-point initialization mode (train.prior_mode)")
-    p.add_argument("--steps", type=int, help="training steps (train.steps)")
+    p.add_argument("--steps", dest="train.steps", type=int, help="training steps (train.steps)")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint with Chamfer AP")
     common(p)
-    p.add_argument("--data", help="evaluation dataset directory (io.data_dir)")
-    p.add_argument("--checkpoint", help="checkpoint path (io.checkpoint_path)")
+    p.add_argument("--data", dest="io.data_dir", help="evaluation dataset directory (io.data_dir)")
+    p.add_argument("--checkpoint", dest="io.checkpoint_path", help="checkpoint path (io.checkpoint_path)")
 
     p = sub.add_parser("stability-report", help="merge run summaries into one report")
-    common(p)
     p.add_argument("--runs", nargs="+", required=True, help="training run directories")
     p.add_argument("--out-file", dest="out_file", required=True, help="report JSON path")
 
@@ -456,53 +400,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variant", action="append", required=True,
                    choices=["vanilla", "scale-then-sample", "sample-then-scale", "parallel"])
-    p.add_argument("--repeats", type=int, help="timing repeats (bench.repeats)")
+    p.add_argument("--repeats", dest="bench.repeats", type=int, help="timing repeats (bench.repeats)")
     p.add_argument("--out-file", dest="out_file", help="CSV output path")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._flag_overrides = []
-    _collect_flag(args, "out", "io.out_dir")
-    _collect_flag(args, "seed", "seed")
-    _collect_flag(args, "count", "scenes.count")
-    _collect_flag(args, "scenes", "io.data_dir")
-    _collect_flag(args, "k", "priors.k")
-    _collect_flag(args, "n_pri", "priors.n_pri")
-    _collect_flag(args, "out_file", "io.priors_path")
-    _collect_flag(args, "data", "io.data_dir")
-    _collect_flag(args, "checkpoint", "io.checkpoint_path")
-    _collect_flag(args, "val", "io.val_dir")
-    _collect_flag(args, "priors", "io.priors_path")
-    _collect_flag(args, "prior_mode", "train.prior_mode")
-    _collect_flag(args, "steps", "train.steps")
-    _collect_flag(args, "repeats", "bench.repeats")
-
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "stability-report":
-            cfg = load_config(args.config) if args.config else RunConfig()
-            cfg = apply_overrides(cfg, args.set or [])
-            cmd_stability_report(cfg, args.runs, args.out_file)
+            cmd_stability_report(args.runs, args.out_file)
         elif args.command == "bench-attn":
-            args._flag_overrides = [o for o in args._flag_overrides if o[0] != "io.priors_path"]
-            cfg = _base_config(args)
-            out_path = args.out_file or os.path.join(cfg.io.out_dir, "bench_attn.csv")
-            os.makedirs(cfg.io.out_dir, exist_ok=True)
-            cmd_bench_attn(cfg, args.variant, out_path)
+            cfg = _resolve(args, RunConfig())
+            cmd_bench_attn(cfg, args.variant, args.out_file or os.path.join(cfg.io.out_dir, "bench_attn.csv"))
+        elif args.command == "eval":
+            cmd_eval(*_eval_config(args))
         else:
-            cfg = _base_config(args)
-            os.makedirs(cfg.io.out_dir, exist_ok=True)
-            if args.command == "gen-data":
-                cmd_gen_data(cfg)
-            elif args.command == "fit-priors":
-                cmd_fit_priors(cfg)
-            elif args.command == "train":
-                cmd_train(cfg)
-            elif args.command == "eval":
-                cmd_eval(cfg)
+            commands = {"gen-data": cmd_gen_data, "fit-priors": cmd_fit_priors, "train": cmd_train}
+            commands[args.command](_resolve(args, RunConfig()))
     except (ConfigError, CliError) as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return 2

@@ -1,7 +1,10 @@
 """Run configuration: one JSON document that fully specifies any CLI command.
 
-Sections mirror the module configs.  Parsing is strict: unknown keys are
-hard errors so a typo never silently falls back to a default.  An effective
+The scenes and loss sections are the module configs themselves; RunConfig
+builds the decoder and training configs from its sections, so every module
+check runs while the config is parsed and a bad value is a ConfigError.
+Parsing is strict: unknown keys are hard errors so a typo never silently
+falls back to a default.  An effective
 snapshot of the resolved config is written next to every command's
 artifacts, and rerunning from that snapshot reproduces the run.
 """
@@ -13,7 +16,11 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any
 
-from .attention import ALL_VARIANTS, VARIANT_SCALE_THEN_SAMPLE
+from .attention import VARIANT_SCALE_THEN_SAMPLE
+from .decoder import DecoderConfig
+from .losses import LossConfig
+from .synth import SceneConfig
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -21,32 +28,8 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExtentSection:
-    x_min: float = -30.0
-    x_max: float = 30.0
-    y_min: float = -15.0
-    y_max: float = 15.0
-    h: int = 200
-    w: int = 100
-
-
-@dataclass
-class ScenesSection:
+class ScenesSection(SceneConfig):
     count: int = 200
-    n_points: int = 20
-    extent: ExtentSection = field(default_factory=ExtentSection)
-    divider_count: list = field(default_factory=lambda: [2, 4])
-    crossing_count: list = field(default_factory=lambda: [1, 2])
-    boundary_count: list = field(default_factory=lambda: [1, 2])
-    divider_curvature: list = field(default_factory=lambda: [0.0, 0.004])
-    divider_span: list = field(default_factory=lambda: [1.0, 1.0])
-    divider_lanes: int = 0
-    lane_jitter: float = 0.3
-    crossing_size: list = field(default_factory=lambda: [4.0, 8.0])
-    crossing_slots: int = 0
-    slot_jitter: float = 1.0
-    boundary_margin: float = 1.5
-    noise_sd: float = 0.1
 
 
 @dataclass
@@ -75,19 +58,6 @@ class PriorsSection:
     k: int = 50
     n_pri: int = 9
     max_iters: int = 100
-
-
-@dataclass
-class LossSection:
-    lambda_var: float = 1.0
-    lambda_dist: float = 1.0
-    delta_v: float = 0.5
-    delta_d: float = 3.0
-    lambda_cls: float = 2.0
-    lambda_pts: float = 5.0
-    lambda_disc: float = 1.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
 
 
 @dataclass
@@ -132,15 +102,38 @@ class RunConfig:
     features: FeaturesSection = field(default_factory=FeaturesSection)
     decoder: DecoderSection = field(default_factory=DecoderSection)
     priors: PriorsSection = field(default_factory=PriorsSection)
-    loss: LossSection = field(default_factory=LossSection)
+    loss: LossConfig = field(default_factory=LossConfig)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
     bench: BenchSection = field(default_factory=BenchSection)
     io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
-        if self.decoder.variant not in ALL_VARIANTS:
-            raise ConfigError(f"decoder.variant must be one of {ALL_VARIANTS}")
+        # The module configs the sections describe; building them here runs
+        # their own checks while the config is parsed.
+        d = self.decoder
+        self.decoder_cfg = DecoderConfig(
+            n_instances=d.n_instances,
+            n_prior=d.n_prior,
+            n_points=self.scenes.n_points,
+            channels=self.features.channels,
+            n_layers=d.n_layers,
+            n_heads=d.n_heads,
+            ffn_dim=d.ffn_dim,
+            head_hidden=d.head_hidden,
+            variant=d.variant,
+            num_levels=self.features.num_levels,
+            num_points_attn=d.num_points_attn,
+        )
+        t = self.train
+        self.train_cfg = TrainConfig(
+            steps=t.steps,
+            lr=t.lr,
+            optimizer=t.optimizer,
+            seed=self.seed,
+            prior_mode=t.prior_mode,
+            feature_noise_sd=t.feature_noise_sd,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -148,39 +141,42 @@ class RunConfig:
 # --------------------------------------------------------------------------
 
 
-def _from_dict(cls, doc: dict, path: str):
+def _from_dict(base, doc: dict, path: str):
+    """`base` with the values in `doc` applied; a value the section's own
+    check rejects is a ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(doc).__name__}")
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name for f in fields(base)}
     kwargs: dict[str, Any] = {}
     for key, value in doc.items():
         if key not in known:
             raise ConfigError(f"unknown config key {path + key!r}")
-        ftype = known[key].type
-        default = known[key].default_factory() if known[key].default_factory is not dataclasses.MISSING else None
-        if is_dataclass(default):
-            kwargs[key] = _from_dict(type(default), value, f"{path}{key}.")
-        else:
-            kwargs[key] = value
-    return cls(**kwargs)
+        current = getattr(base, key)
+        kwargs[key] = _from_dict(current, value, f"{path}{key}.") if is_dataclass(current) else value
+    try:
+        return dataclasses.replace(base, **kwargs)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{path[:-1]}: {e}" if path else str(e)) from e
 
 
-def config_from_dict(doc: dict) -> RunConfig:
-    return _from_dict(RunConfig, doc, "")
+def config_from_dict(doc: dict, base: RunConfig | None = None) -> RunConfig:
+    """The config `doc` describes; keys it leaves out keep their value in `base`."""
+    return _from_dict(base or RunConfig(), doc, "")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     with open(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: line {e.lineno}: {e.msg}") from e
-    doc.pop("command", None)  # snapshots carry the command they came from
-    return config_from_dict(doc)
+    if isinstance(doc, dict):
+        doc.pop("command", None)  # snapshots carry the command they came from
+    return config_from_dict(doc, base)
 
 
 def save_config(cfg: RunConfig, path: str, command: str | None = None) -> None:

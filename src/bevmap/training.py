@@ -10,7 +10,10 @@ named substream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import json
+import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +21,16 @@ from . import tensorad as ta
 from .decoder import DecoderConfig, forward, init_model_params
 from .geometry import Scene
 from .losses import LossConfig, total_loss
-from .matching import Assignment, CostConfig, GtTarget, gt_targets, unstable_scores
-from .priors import PriorBank
+from .matching import Assignment, GtTarget, gt_targets, unstable_scores
+from .priors import PriorBank, bank_from_dict, bank_to_dict
 from .rngutil import substream
 from .synth import FeaturePyramid, InstanceMask, rasterize_instances, render_bev
 from .tensorad import Tensor
 
 PRIOR_MODE_PRIOR = "prior"
 PRIOR_MODE_RANDOM = "random"
+ADAGRAD_EPS = 1e-8
+CHECKPOINT_FORMAT = 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -39,8 +44,6 @@ class TrainConfig:
     steps: int = 2000
     lr: float = 0.1
     optimizer: str = "adagrad"  # momentum-free adaptive, or "sgd"
-    adagrad_eps: float = 1e-8
-    batch_size: int = 1
     seed: int = 0
     prior_mode: str = PRIOR_MODE_PRIOR
     # fresh feature noise per visit, the stand-in for sensor/augmentation
@@ -132,7 +135,6 @@ def _training_step_loss(
     item: TrainScene,
     cfg: DecoderConfig,
     loss_cfg: LossConfig,
-    cost_cfg: CostConfig,
     noise_rng: np.random.Generator | None = None,
     noise_sd: float = 0.0,
 ) -> tuple[Tensor, dict, list[Assignment]]:
@@ -141,7 +143,7 @@ def _training_step_loss(
         raw = [lvl + noise_rng.normal(0.0, noise_sd, lvl.shape) for lvl in raw]
     levels = project_pyramid(raw, params)
     outputs = forward(params, bank, levels, cfg)
-    return total_loss(outputs, item.gts, levels[0], item.mask, loss_cfg, cost_cfg)
+    return total_loss(outputs, item.gts, levels[0], item.mask, loss_cfg)
 
 
 def train(
@@ -151,7 +153,6 @@ def train(
     decoder_cfg: DecoderConfig,
     train_cfg: TrainConfig,
     loss_cfg: LossConfig | None = None,
-    cost_cfg: CostConfig | None = None,
 ) -> TrainResult:
     """Gradient-descent loop with per-layer matching recomputed each step.
 
@@ -160,12 +161,6 @@ def train(
     if not dataset:
         raise ValueError("train: dataset is empty")
     loss_cfg = loss_cfg or LossConfig()
-    cost_cfg = cost_cfg or CostConfig(
-        lambda_cls=loss_cfg.lambda_cls,
-        lambda_pts=loss_cfg.lambda_pts,
-        focal_alpha=loss_cfg.focal_alpha,
-        focal_gamma=loss_cfg.focal_gamma,
-    )
     if "adapter.w" not in params:
         grid = dataset[0].pyramid.levels[0].shape[1:]
         params.update(init_adapter(decoder_cfg.channels, grid, train_cfg.seed))
@@ -183,7 +178,7 @@ def train(
 
         with ta.Tape() as tape:
             loss, breakdown, assignments = _training_step_loss(
-                params, bank, item, decoder_cfg, loss_cfg, cost_cfg,
+                params, bank, item, decoder_cfg, loss_cfg,
                 noise_rng=noise_rng, noise_sd=train_cfg.feature_noise_sd,
             )
             if not np.isfinite(loss.values).all():
@@ -194,7 +189,7 @@ def train(
             g = grads.of(params[name])
             if train_cfg.optimizer == "adagrad":
                 accum[name] = accum[name] + g * g
-                update = train_cfg.lr * g / (np.sqrt(accum[name]) + train_cfg.adagrad_eps)
+                update = train_cfg.lr * g / (np.sqrt(accum[name]) + ADAGRAD_EPS)
             else:
                 update = train_cfg.lr * g
             params[name] = Tensor(params[name].values - update)
@@ -243,10 +238,56 @@ def final_epoch_mean(log: list[dict], key: str, epoch_len: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def save_checkpoint(params: dict[str, Tensor], path: str) -> None:
-    np.savez(path, **{name: t.values for name, t in params.items()})
+class CheckpointError(ValueError):
+    pass
 
 
-def load_checkpoint(path: str) -> dict[str, Tensor]:
-    with np.load(path) as data:
-        return {name: Tensor(data[name]) for name in data.files}
+class Checkpoint(dict):
+    """Params by name, plus what the `_meta` entry records about the run
+    that wrote them; the bank is None in random mode."""
+
+    decoder_cfg: DecoderConfig | None
+    bank: PriorBank | None
+    features: dict | None
+    dataset_fingerprint: str | None
+
+
+def save_checkpoint(
+    params: dict[str, Tensor],
+    path: str,
+    decoder_cfg: DecoderConfig | None = None,
+    bank: PriorBank | None = None,
+    features: dict | None = None,
+    dataset_fingerprint: str | None = None,
+) -> None:
+    """Write params and a JSON `_meta` entry: format version, the effective
+    decoder config, the bank, the features section and the fingerprint of
+    the training data."""
+    meta = {
+        "format": CHECKPOINT_FORMAT,
+        "decoder": dataclasses.asdict(decoder_cfg) if decoder_cfg else None,
+        "bank": bank_to_dict(bank) if bank else None,
+        "features": features,
+        "dataset_fingerprint": dataset_fingerprint,
+    }
+    arrays = {name: t.values for name, t in params.items()}
+    np.savez(path, _meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as e:
+        raise CheckpointError(f"{path}: not a readable checkpoint ({e})") from e
+    if "_meta" not in arrays:
+        raise CheckpointError(f"{path}: no _meta entry, so not a checkpoint of format {CHECKPOINT_FORMAT}")
+    meta = json.loads(str(arrays.pop("_meta")))
+    if meta["format"] != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: checkpoint format {meta['format']!r}, expected {CHECKPOINT_FORMAT}")
+    ckpt = Checkpoint((name, Tensor(values)) for name, values in arrays.items())
+    ckpt.decoder_cfg = DecoderConfig(**meta["decoder"]) if meta["decoder"] else None
+    ckpt.bank = bank_from_dict(meta["bank"]) if meta["bank"] else None
+    ckpt.features = meta["features"]
+    ckpt.dataset_fingerprint = meta["dataset_fingerprint"]
+    return ckpt

@@ -1,5 +1,9 @@
+import argparse
+import dataclasses
+import functools
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -172,3 +176,91 @@ def test_override_round_trip():
     assert cfg.decoder.variant == "vanilla"
     doc = config_to_dict(cfg)
     assert config_from_dict(doc).train.steps == 123
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(("error (ConfigError): ", "error (CliError): ")), err
+    return err
+
+
+@pytest.mark.parametrize("command,args,expected", [
+    ("train", ["--set", "decoder.n_prior=6"], "error (CliError): {bank}: bank holds 4 shapes"),
+    ("train", ["--set", "decoder.n_heads=3"], "error (ConfigError): channels must be divisible by n_heads"),
+    ("train", ["--set", 'train.optimizer="adam"'], "error (ConfigError): unknown optimizer 'adam'"),
+    ("train", ["--steps", "0"], "error (ConfigError): steps must be >= 1"),
+    ("train", ["--set", "loss.delta_d=0.5"], "error (ConfigError): loss: delta_d (0.5) must exceed"),
+    ("gen-data", ["--set", "scenes.divider_count=[4,2]"], "error (ConfigError): scenes: divider_count range"),
+    ("train", ["--priors", "{bad_bank}"], "error (CliError): {bad_bank}: malformed prior bank"),
+    ("eval", ["--checkpoint", "{pickle}"], "error (CliError): {pickle}: not a readable checkpoint"),
+    ("eval", ["--checkpoint", "{no_meta}"], "error (CliError): {no_meta}: no _meta entry"),
+    ("eval", ["--set", "decoder.n_layers=1"], "error (CliError): decoder.n_layers is 1 but the checkpoint"),
+])
+def test_bad_config_or_input_is_one_line(pipeline, tmp_path, capsys, command, args, expected):
+    root, data, bank, run_dir = pipeline
+    paths = {
+        "bank": bank,
+        "bad_bank": str(tmp_path / "bank.json"),
+        "pickle": str(tmp_path / "pickle.npz"),
+        "no_meta": str(tmp_path / "no_meta.npz"),
+    }
+    (tmp_path / "bank.json").write_text(json.dumps({"priors": 3}))
+    (tmp_path / "pickle.npz").write_bytes(pickle.dumps({"a": 1}))
+    np.savez(paths["no_meta"], w=np.zeros(2))
+    inputs = {
+        "gen-data": [],
+        "train": ["--data", data, "--priors", bank, "--steps", "2"],
+        "eval": ["--data", data, "--checkpoint", os.path.join(run_dir, "checkpoint.npz")],
+    }[command]
+    out = tmp_path / "out"
+    rc = cli.main([command, *inputs, "--out", str(out), *TINY, *[a.format(**paths) for a in args]])
+    assert rc == 2
+    assert expected.format(**paths) in _one_line_error(capsys)
+    assert not (out / f"{command}_config.json").exists()
+
+
+def test_eval_reads_the_model_from_its_checkpoint(pipeline, tmp_path):
+    root, data, bank, run_dir = pipeline
+    ckpt = os.path.join(run_dir, "checkpoint.npz")
+    reports = []
+    for name, model_flags in (("tiny", TINY), ("bare", [])):
+        out = tmp_path / name
+        assert cli.main(["eval", "--data", data, "--checkpoint", ckpt, "--out", str(out), "--seed", "7",
+                         *model_flags]) == 0
+        reports.append((out / "eval_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_rerun_train_and_eval_from_snapshot(pipeline, tmp_path):
+    root, data, bank, run_dir = pipeline
+    rerun = tmp_path / "rerun"
+    assert cli.main(["train", "--config", os.path.join(run_dir, "train_config.json"), "--out", str(rerun)]) == 0
+    with open(os.path.join(run_dir, "train_log.csv"), "rb") as f:
+        assert (rerun / "train_log.csv").read_bytes() == f.read()
+    with np.load(os.path.join(run_dir, "checkpoint.npz")) as a, np.load(rerun / "checkpoint.npz") as b:
+        assert sorted(a.files) == sorted(b.files)
+        for name in a.files:
+            assert np.array_equal(a[name], b[name]), name
+
+    first, second = tmp_path / "eval1", tmp_path / "eval2"
+    assert cli.main(["eval", "--data", data, "--checkpoint", str(rerun / "checkpoint.npz"),
+                     "--out", str(first), "--seed", "7"]) == 0
+    assert cli.main(["eval", "--config", str(first / "eval_config.json"), "--out", str(second)]) == 0
+    assert (second / "eval_report.json").read_bytes() == (first / "eval_report.json").read_bytes()
+
+
+def test_every_flag_sets_a_config_key():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    sections = {f.name for f in dataclasses.fields(RunConfig)}
+    defaults = config_to_dict(RunConfig())
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if action.dest.split(".")[0] in sections:
+                value = functools.reduce(lambda node, key: node.get(key, {}), action.dest.split("."), defaults)
+                apply_overrides(RunConfig(), [f"{action.dest}={json.dumps(value)}"])  # raises on an unknown key
+            else:
+                assert "." not in action.dest, (name, action.dest)
+    report_flags = {s for a in commands["stability-report"]._actions for s in a.option_strings}
+    assert report_flags == {"-h", "--help", "--runs", "--out-file"}
