@@ -1,18 +1,17 @@
 """Deformable attention kernels: sinusoidal encodings, vanilla MSDA, and the
-decoupled two-stage variants.
+decoupled two-stage (DMD) cross-attention.
 
 Vanilla multi-scale deformable attention samples N offset points on each of
-M pyramid levels per head (M*N reads per query).  The decoupled variants
-split this into a multi-scale stage (one point per level) and a multi-sample
-stage (N points on the largest level), for M+N reads:
+M pyramid levels per head (M*N reads per query).  The decoupled variant
+splits this into a multi-scale stage (one point per level) followed by a
+multi-sample stage (N points on the largest level), for M+N reads:
 
     scale_then_sample:  q1 = lin1(msda_ms(q));  out = q1 + lin2(msda_sp(q1))
-    sample_then_scale:  q1 = lin1(msda_sp(q));  out = q1 + lin2(msda_ms(q1))
-    parallel:           out = lin1(msda_ms(q)) + lin2(msda_sp(q))
 
 Offsets are generated in units of cells of each level and converted to
 normalized coordinates per level; attention weights are softmax-normalized
-jointly over a stage's (level, point) group per head and query.
+jointly over a stage's (level, point) group per head and query.  This module
+alone knows the stage layout and the parameter names of each variant.
 """
 
 from __future__ import annotations
@@ -27,15 +26,11 @@ import numpy as np
 
 from . import tensorad as ta
 from .rngutil import substream
-from .synth import FeaturePyramid
 from .tensorad import ContractViolation, Tensor
 
 VARIANT_VANILLA = "vanilla"
 VARIANT_SCALE_THEN_SAMPLE = "dmd_scale_then_sample"
-VARIANT_SAMPLE_THEN_SCALE = "dmd_sample_then_scale"
-VARIANT_PARALLEL = "dmd_parallel"
-DMD_VARIANTS = (VARIANT_SCALE_THEN_SAMPLE, VARIANT_SAMPLE_THEN_SCALE, VARIANT_PARALLEL)
-ALL_VARIANTS = (VARIANT_VANILLA,) + DMD_VARIANTS
+ALL_VARIANTS = (VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE)
 
 
 # --------------------------------------------------------------------------
@@ -74,11 +69,6 @@ def sinusoidal_pe(coords: Tensor, channels: int) -> Tensor:
         c = ta.reshape(ta.cos(phase), lead + (half // 2, 1))
         parts.append(ta.reshape(ta.concat([s, c], axis=-1), lead + (half,)))
     return ta.concat(parts, axis=-1)
-
-
-# Re-exported here because sampling is the attention module's lookup kernel;
-# it is registered as a differentiable primitive in the tape engine.
-bilinear_sample = ta.bilinear_sample
 
 
 # --------------------------------------------------------------------------
@@ -159,6 +149,19 @@ def _default_offset_bias(num_heads: int, num_levels: int, num_points: int) -> np
     return bias.reshape(-1)
 
 
+_STAGE_FIELDS = ("off_w", "off_b", "atn_w", "atn_b", "val_w", "out_w")
+_LINEAR_NAMES = {"lin1_w": "lin1.w", "lin1_b": "lin1.b", "lin2_w": "lin2.w", "lin2_b": "lin2.b"}
+
+
+def _stages(variant: str, num_levels: int, num_points: int) -> list[tuple[str, str, int, int]]:
+    """(MsdaParams attribute, parameter name, levels, points) of each stage."""
+    if variant == VARIANT_VANILLA:
+        return [("stage", "stage", num_levels, num_points)]
+    if variant == VARIANT_SCALE_THEN_SAMPLE:
+        return [("stage_ms", "ms", num_levels, 1), ("stage_sp", "sp", 1, num_points)]
+    raise ContractViolation(f"unknown attention variant {variant!r}")
+
+
 def init_msda_params(
     variant: str,
     num_heads: int,
@@ -168,15 +171,11 @@ def init_msda_params(
     seed: int,
     sd: float = 0.02,
 ) -> MsdaParams:
-    if variant not in ALL_VARIANTS:
-        raise ContractViolation(f"unknown attention variant {variant!r}")
     rng = substream(seed, "msda")
     params = MsdaParams(variant, num_heads, num_levels, num_points, channels)
-    if variant == VARIANT_VANILLA:
-        params.stage = _init_stage(rng, num_heads, num_levels, num_points, channels, sd)
-    else:
-        params.stage_ms = _init_stage(rng, num_heads, num_levels, 1, channels, sd)
-        params.stage_sp = _init_stage(rng, num_heads, 1, num_points, channels, sd)
+    for attr, _, m, n in _stages(variant, num_levels, num_points):
+        setattr(params, attr, _init_stage(rng, num_heads, m, n, channels, sd))
+    if variant == VARIANT_SCALE_THEN_SAMPLE:
         params.lin1_w = Tensor(rng.normal(0.0, sd, (channels, channels)))
         params.lin1_b = Tensor(np.zeros(channels))
         params.lin2_w = Tensor(rng.normal(0.0, sd, (channels, channels)))
@@ -185,22 +184,36 @@ def init_msda_params(
 
 
 def named_parameters(params: MsdaParams, prefix: str = "") -> dict[str, Tensor]:
+    """Every tensor of `params` under its stable name, e.g. `{prefix}ms.off_w`."""
     out: dict[str, Tensor] = {}
-
-    def stage_entries(stage: MsdaStageParams, name: str) -> None:
-        for f in ("off_w", "off_b", "atn_w", "atn_b", "val_w", "out_w"):
+    for attr, name, _, _ in _stages(params.variant, params.num_levels, params.num_points):
+        stage = getattr(params, attr)
+        for f in _STAGE_FIELDS:
             out[f"{prefix}{name}.{f}"] = getattr(stage, f)
-
-    if params.stage is not None:
-        stage_entries(params.stage, "stage")
-    if params.stage_ms is not None:
-        stage_entries(params.stage_ms, "ms")
-        stage_entries(params.stage_sp, "sp")
-        out[f"{prefix}lin1.w"] = params.lin1_w
-        out[f"{prefix}lin1.b"] = params.lin1_b
-        out[f"{prefix}lin2.w"] = params.lin2_w
-        out[f"{prefix}lin2.b"] = params.lin2_b
+    if params.variant == VARIANT_SCALE_THEN_SAMPLE:
+        for attr, name in _LINEAR_NAMES.items():
+            out[prefix + name] = getattr(params, attr)
     return out
+
+
+def params_from_named(
+    named: dict[str, Tensor],
+    prefix: str,
+    variant: str,
+    num_heads: int,
+    num_levels: int,
+    num_points: int,
+    channels: int,
+) -> MsdaParams:
+    """The inverse of `named_parameters`: the MsdaParams held in `named` under `prefix`."""
+    params = MsdaParams(variant, num_heads, num_levels, num_points, channels)
+    for attr, name, m, n in _stages(variant, num_levels, num_points):
+        tensors = {f: named[f"{prefix}{name}.{f}"] for f in _STAGE_FIELDS}
+        setattr(params, attr, MsdaStageParams(num_heads, m, n, channels, **tensors))
+    if variant == VARIANT_SCALE_THEN_SAMPLE:
+        for attr, name in _LINEAR_NAMES.items():
+            setattr(params, attr, named[prefix + name])
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -209,8 +222,6 @@ def named_parameters(params: MsdaParams, prefix: str = "") -> dict[str, Tensor]:
 
 
 def _as_level_tensors(pyramid) -> list[Tensor]:
-    if isinstance(pyramid, FeaturePyramid):
-        return [Tensor(level) for level in pyramid.levels]
     return [level if isinstance(level, Tensor) else Tensor(level) for level in pyramid]
 
 
@@ -222,16 +233,11 @@ def _linear_rows(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return y
 
 
-def _msda_stage(
-    tokens: Tensor,
-    levels: list[Tensor],
-    ref: Tensor,
-    stage: MsdaStageParams,
-    return_weights: bool = False,
-):
+def _msda_stage(tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaStageParams) -> tuple[Tensor, Tensor]:
     """Core deformable attention for one stage.
 
-    tokens (T, C), ref (T, 2) normalized; returns (T, C).
+    tokens (T, C), ref (T, 2) normalized; returns the output (T, C) and the
+    softmax weights (T, Nh, M*N).
     """
     t_n = tokens.shape[0]
     nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
@@ -271,43 +277,30 @@ def _msda_stage(
     w_h = ta.reshape(ta.transpose(weights, (1, 0, 2, 3)), (nh, t_n, 1, m * n))
     agg = ta.reshape(ta.matmul(w_h, v), (nh, t_n, head_dim))
     out = ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0)  # (T, C)
-    if return_weights:
-        return out, atn
-    return out
+    return out, atn
+
+
+def _dmd(tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams) -> tuple[Tensor, Tensor, Tensor]:
+    """Scale then sample: the output and the weights of both stages."""
+    out_ms, w_ms = _msda_stage(tokens, levels, ref, params.stage_ms)
+    q1 = _linear_rows(out_ms, params.lin1_w, params.lin1_b)
+    out_sp, w_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp)
+    return ta.add(q1, _linear_rows(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
 
 
 def msda_vanilla(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams) -> SampledValue:
     """Vanilla multi-scale deformable attention: M*N samples per query per head."""
     if params.variant != VARIANT_VANILLA:
         raise ContractViolation(f"msda_vanilla called with variant {params.variant!r}")
-    levels = _as_level_tensors(pyramid)
-    out = _msda_stage(tokens, levels, ref, params.stage)
+    out, _ = _msda_stage(tokens, _as_level_tensors(pyramid), ref, params.stage)
     return SampledValue(out, count_samples(params.variant, params.num_levels, params.num_points))
 
 
 def msda_dmd(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams) -> SampledValue:
-    """Decoupled deformable attention; all variants read M+N samples."""
-    if params.variant not in DMD_VARIANTS:
+    """Decoupled deformable attention: M+N samples per query per head."""
+    if params.variant != VARIANT_SCALE_THEN_SAMPLE:
         raise ContractViolation(f"msda_dmd called with variant {params.variant!r}")
-    levels = _as_level_tensors(pyramid)
-    largest = [levels[0]]
-
-    def lin1(x):
-        return _linear_rows(x, params.lin1_w, params.lin1_b)
-
-    def lin2(x):
-        return _linear_rows(x, params.lin2_w, params.lin2_b)
-
-    if params.variant == VARIANT_SCALE_THEN_SAMPLE:
-        q1 = lin1(_msda_stage(tokens, levels, ref, params.stage_ms))
-        out = ta.add(q1, lin2(_msda_stage(q1, largest, ref, params.stage_sp)))
-    elif params.variant == VARIANT_SAMPLE_THEN_SCALE:
-        q1 = lin1(_msda_stage(tokens, largest, ref, params.stage_sp))
-        out = ta.add(q1, lin2(_msda_stage(q1, levels, ref, params.stage_ms)))
-    else:  # parallel: both stages from the same tokens, summed after their linears
-        a = lin1(_msda_stage(tokens, levels, ref, params.stage_ms))
-        b = lin2(_msda_stage(tokens, largest, ref, params.stage_sp))
-        out = ta.add(a, b)
+    out, _, _ = _dmd(tokens, _as_level_tensors(pyramid), ref, params)
     return SampledValue(out, count_samples(params.variant, params.num_levels, params.num_points))
 
 
@@ -323,7 +316,7 @@ def count_samples(variant: str, num_levels: int, num_points: int) -> int:
         raise ContractViolation(f"count_samples: M={num_levels}, N={num_points} must be >= 1")
     if variant == VARIANT_VANILLA:
         return num_levels * num_points
-    if variant in DMD_VARIANTS:
+    if variant == VARIANT_SCALE_THEN_SAMPLE:
         return num_levels + num_points
     raise ContractViolation(f"count_samples: unknown variant {variant!r}")
 
@@ -331,25 +324,11 @@ def count_samples(variant: str, num_levels: int, num_points: int) -> int:
 def attention_weight_groups(params: MsdaParams, tokens: Tensor, pyramid, ref: Tensor) -> list[np.ndarray]:
     """Softmax-normalized weight groups per stage, each (T, Nh, group); for checks."""
     levels = _as_level_tensors(pyramid)
-    groups = []
     if params.variant == VARIANT_VANILLA:
-        _, w = _msda_stage(tokens, levels, ref, params.stage, return_weights=True)
-        groups.append(w.values)
-        return groups
-    largest = [levels[0]]
-    if params.variant == VARIANT_SCALE_THEN_SAMPLE:
-        out1, w1 = _msda_stage(tokens, levels, ref, params.stage_ms, return_weights=True)
-        q1 = _linear_rows(out1, params.lin1_w, params.lin1_b)
-        _, w2 = _msda_stage(q1, largest, ref, params.stage_sp, return_weights=True)
-    elif params.variant == VARIANT_SAMPLE_THEN_SCALE:
-        out1, w1 = _msda_stage(tokens, largest, ref, params.stage_sp, return_weights=True)
-        q1 = _linear_rows(out1, params.lin1_w, params.lin1_b)
-        _, w2 = _msda_stage(q1, levels, ref, params.stage_ms, return_weights=True)
+        weights = [_msda_stage(tokens, levels, ref, params.stage)[1]]
     else:
-        _, w1 = _msda_stage(tokens, levels, ref, params.stage_ms, return_weights=True)
-        _, w2 = _msda_stage(tokens, largest, ref, params.stage_sp, return_weights=True)
-    groups.extend([w1.values, w2.values])
-    return groups
+        weights = _dmd(tokens, levels, ref, params)[1:]
+    return [w.values for w in weights]
 
 
 # --------------------------------------------------------------------------

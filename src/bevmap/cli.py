@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from .attention import VARIANT_SCALE_THEN_SAMPLE, VARIANT_VANILLA, benchmark_attention
 from .config import (
     ConfigError,
     RunConfig,
@@ -28,10 +29,10 @@ from .config import (
     load_config,
     save_config,
 )
-from .decoder import DecoderConfig
+from .decoder import DecoderConfig, forward
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
-from .geometry import Scene, load_scene, save_scene
-from .priors import BankParseError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
+from .geometry import GeometryError, Scene, load_scene, save_scene
+from .priors import BankParseError, FitError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
 from .rngutil import substream
 from .synth import generate_scene
 from .tensorad import ContractViolation
@@ -50,6 +51,10 @@ from .training import (
 
 class CliError(RuntimeError):
     pass
+
+
+# `bench-attn --variant` names of the attention variants
+BENCH_VARIANTS = {"vanilla": VARIANT_VANILLA, "scale-then-sample": VARIANT_SCALE_THEN_SAMPLE}
 
 
 # --------------------------------------------------------------------------
@@ -94,6 +99,12 @@ def _snapshot(cfg: RunConfig, command: str) -> None:
     save_config(cfg, os.path.join(cfg.io.out_dir, f"{command}_config.json"), command=command)
 
 
+def _check_grid(dataset, pos_shape: tuple, where: str) -> None:
+    grid = dataset[0].pyramid.levels[0].shape
+    if grid != pos_shape:
+        raise CliError(f"{where}: level-0 feature grid {grid} does not match the model's adapter.pos {pos_shape}")
+
+
 def _feature_dataset(scenes: list[Scene], cfg: RunConfig):
     f = cfg.features
     return build_dataset(
@@ -132,21 +143,23 @@ def cmd_gen_data(cfg: RunConfig) -> None:
 
 def cmd_fit_priors(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    _snapshot(cfg, "fit-priors")
     scenes = _load_scene_dir(data_dir)
     elements = [e for s in scenes for e in s.elements]
-    extent = scenes[0].extent
-    fit = fit_clusters(elements, extent, cfg.priors.k, cfg.seed, cfg.priors.max_iters)
-    bank = abstract(
-        fit.clusters,
-        cfg.priors.n_pri,
-        meta={
-            "k": cfg.priors.k,
-            "seed": cfg.seed,
-            "iterations": fit.iterations,
-            "dataset_fingerprint": _dataset_fingerprint(data_dir),
-        },
-    )
+    try:
+        fit = fit_clusters(elements, scenes[0].extent, cfg.priors.k, cfg.seed, cfg.priors.max_iters)
+        bank = abstract(
+            fit.clusters,
+            cfg.priors.n_pri,
+            meta={
+                "k": cfg.priors.k,
+                "seed": cfg.seed,
+                "iterations": fit.iterations,
+                "dataset_fingerprint": _dataset_fingerprint(data_dir),
+            },
+        )
+    except FitError as e:
+        raise CliError(f"{data_dir}: {e}") from e
+    _snapshot(cfg, "fit-priors")
     out_path = cfg.io.priors_path or os.path.join(cfg.io.out_dir, "prior_bank.json")
     save_bank(bank, out_path)
     print(f"fit-priors: k={cfg.priors.k}, kept {bank.n_pri} priors -> {out_path}")
@@ -155,8 +168,11 @@ def cmd_fit_priors(cfg: RunConfig) -> None:
 def cmd_train(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
     scenes = _load_scene_dir(data_dir)
-    for scene in scenes:
-        scene.validate(cfg.scenes.n_points)
+    try:
+        for scene in scenes:
+            scene.validate(cfg.scenes.n_points)
+    except GeometryError as e:
+        raise CliError(f"{data_dir}: {e}; scenes.n_points is {cfg.scenes.n_points}") from e
     fingerprint = _dataset_fingerprint(data_dir)
 
     bank = None
@@ -173,10 +189,15 @@ def cmd_train(cfg: RunConfig) -> None:
                 f"needs decoder.n_prior={n_prior} shapes of scenes.n_points={n_points} points"
             )
         check_fingerprint(bank, fingerprint)
+    dataset = _feature_dataset(scenes, cfg)
+    val = None
+    if cfg.io.val_dir:
+        val = _feature_dataset(_load_scene_dir(_require_path(cfg.io.val_dir, "validation dataset (io.val_dir)")), cfg)
+        _check_grid(val, dataset[0].pyramid.levels[0].shape, cfg.io.val_dir)
     _snapshot(cfg, "train")
 
     params, eff_bank, eff_cfg = setup_run(cfg.decoder_cfg, bank, cfg.train_cfg, init_sd=cfg.decoder.init_sd)
-    result = train(params, eff_bank, _feature_dataset(scenes, cfg), eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
+    result = train(params, eff_bank, dataset, eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
 
     out_dir = cfg.io.out_dir
     save_checkpoint(
@@ -206,10 +227,8 @@ def cmd_train(cfg: RunConfig) -> None:
         "u_t_series": [row["u_t"] for row in result.log],
     }
 
-    if cfg.io.val_dir:
-        val_scenes = _load_scene_dir(_require_path(cfg.io.val_dir, "validation dataset (io.val_dir)"))
-        report = _evaluate_params(result.params, eff_bank, val_scenes, cfg, eff_cfg)
-        summary["val_mean_ap"] = report.mean_ap
+    if val is not None:
+        summary["val_mean_ap"] = _evaluate_params(result.params, eff_bank, val, cfg, eff_cfg).mean_ap
 
     with open(os.path.join(out_dir, "stability.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -218,12 +237,10 @@ def cmd_train(cfg: RunConfig) -> None:
           f"final-epoch u_t={summary['final_epoch_u_t']:.4f} -> {out_dir}")
 
 
-def _evaluate_params(params, bank, scenes, cfg: RunConfig, decoder_cfg: DecoderConfig):
-    from .decoder import forward
-
+def _evaluate_params(params, bank, dataset, cfg: RunConfig, decoder_cfg: DecoderConfig):
     preds_per_scene = []
     gts_per_scene = []
-    for item in _feature_dataset(scenes, cfg):
+    for item in dataset:
         levels = project_pyramid(item.pyramid.levels, params)
         outputs = forward(params, bank, levels, decoder_cfg)
         final = outputs[-1]
@@ -235,15 +252,17 @@ def _evaluate_params(params, bank, scenes, cfg: RunConfig, decoder_cfg: DecoderC
 
 
 def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
-    scenes = _load_scene_dir(_require_path(cfg.io.data_dir, "scene dataset (io.data_dir)"))
+    data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
+    dataset = _feature_dataset(_load_scene_dir(data_dir), cfg)
+    _check_grid(dataset, ckpt["adapter.pos"].shape, data_dir)
     _snapshot(cfg, "eval")
-    report = _evaluate_params(ckpt, ckpt.bank, scenes, cfg, ckpt.decoder_cfg)
+    report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg, ckpt.decoder_cfg)
     out_dir = cfg.io.out_dir
     with open(os.path.join(out_dir, "eval_report.json"), "w") as f:
         json.dump(report_to_dict(report), f, indent=2, sort_keys=True)
         f.write("\n")
     _write_csv(os.path.join(out_dir, "eval_report.csv"), report_to_csv_rows(report))
-    print(f"eval: mAP={report.mean_ap:.4f} over {len(scenes)} scenes -> {out_dir}")
+    print(f"eval: mAP={report.mean_ap:.4f} over {len(dataset)} scenes -> {out_dir}")
 
 
 def cmd_stability_report(runs: list[str], out_path: str) -> None:
@@ -270,28 +289,12 @@ def cmd_stability_report(runs: list[str], out_path: str) -> None:
 
 
 def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
-    from .attention import ALL_VARIANTS, benchmark_attention
-
-    name_map = {
-        "vanilla": "vanilla",
-        "scale-then-sample": "dmd_scale_then_sample",
-        "sample-then-scale": "dmd_sample_then_scale",
-        "parallel": "dmd_parallel",
-    }
-    resolved = []
-    for v in variants:
-        if v in name_map:
-            resolved.append(name_map[v])
-        elif v in ALL_VARIANTS:
-            resolved.append(v)
-        else:
-            raise CliError(f"unknown attention variant {v!r}; choose from {sorted(name_map)}")
     if cfg.bench.repeats < 1:
         raise CliError(f"bench.repeats must be >= 1, got {cfg.bench.repeats}")
     _snapshot(cfg, "bench-attn")
     try:
         rows = benchmark_attention(
-            resolved,
+            [BENCH_VARIANTS[v] for v in variants],
             repeats=cfg.bench.repeats,
             channels=cfg.bench.channels,
             num_heads=cfg.bench.n_heads,
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-attn", help="wall-clock benchmark of attention variants")
     common(p)
     p.add_argument("--variant", action="append", required=True,
-                   choices=["vanilla", "scale-then-sample", "sample-then-scale", "parallel"])
+                   choices=list(BENCH_VARIANTS))
     p.add_argument("--repeats", dest="bench.repeats", type=int, help="timing repeats (bench.repeats)")
     p.add_argument("--out-file", dest="out_file", help="CSV output path")
 

@@ -31,6 +31,11 @@ class ConfigError(ValueError):
 class ScenesSection(SceneConfig):
     count: int = 200
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.count, int) or self.count < 0:
+            raise ValueError(f"count must be an integer >= 0, got {self.count!r}")
+
 
 @dataclass
 class FeaturesSection:
@@ -109,6 +114,8 @@ class RunConfig:
     io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # The module configs the sections describe; building them here runs
         # their own checks while the config is parsed.
         d = self.decoder

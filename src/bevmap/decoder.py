@@ -25,11 +25,11 @@ import numpy as np
 from . import tensorad as ta
 from .attention import (
     ALL_VARIANTS,
-    MsdaParams,
     VARIANT_SCALE_THEN_SAMPLE,
     init_msda_params,
     msda,
     named_parameters,
+    params_from_named,
     sinusoidal_pe,
 )
 from .priors import PriorBank
@@ -153,34 +153,6 @@ def init_model_params(
         linear(f"{p}.reg1", c, cfg.head_hidden)
         linear(f"{p}.reg2", cfg.head_hidden, 2, zero=zero_init_regression)
     return params
-
-
-def _layer_msda_params(params: dict[str, Tensor], cfg: DecoderConfig, layer: int) -> MsdaParams:
-    prefix = f"layers.{layer}.cross."
-    mp = MsdaParams(cfg.variant, cfg.n_heads, cfg.num_levels, cfg.num_points_attn, cfg.channels)
-    from .attention import MsdaStageParams
-
-    def stage(name: str, m: int, n: int) -> MsdaStageParams:
-        return MsdaStageParams(
-            cfg.n_heads, m, n, cfg.channels,
-            off_w=params[f"{prefix}{name}.off_w"],
-            off_b=params[f"{prefix}{name}.off_b"],
-            atn_w=params[f"{prefix}{name}.atn_w"],
-            atn_b=params[f"{prefix}{name}.atn_b"],
-            val_w=params[f"{prefix}{name}.val_w"],
-            out_w=params[f"{prefix}{name}.out_w"],
-        )
-
-    if cfg.variant == "vanilla":
-        mp.stage = stage("stage", cfg.num_levels, cfg.num_points_attn)
-    else:
-        mp.stage_ms = stage("ms", cfg.num_levels, 1)
-        mp.stage_sp = stage("sp", 1, cfg.num_points_attn)
-        mp.lin1_w = params[f"{prefix}lin1.w"]
-        mp.lin1_b = params[f"{prefix}lin1.b"]
-        mp.lin2_w = params[f"{prefix}lin2.w"]
-        mp.lin2_b = params[f"{prefix}lin2.b"]
-    return mp
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +297,10 @@ def decoder_layer(
     qp = ta.add(q, q_pos)
     tokens = ta.reshape(qp, (n_i * n_p, c))
     ref_flat = ta.reshape(r, (n_i * n_p, 2))
-    cross = msda(tokens, pyramid_levels, ref_flat, _layer_msda_params(params, cfg, layer))
+    cross_params = params_from_named(
+        params, f"{p}.cross.", cfg.variant, cfg.n_heads, cfg.num_levels, cfg.num_points_attn, cfg.channels
+    )
+    cross = msda(tokens, pyramid_levels, ref_flat, cross_params)
     cross_out = ta.reshape(cross.output, (n_i, n_p, c))
     q = _ln_affine(ta.add(q, cross_out), params[f"{p}.cross_ln_g"], params[f"{p}.cross_ln_b"])
     _check_finite("cross-attention", q)

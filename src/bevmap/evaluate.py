@@ -218,5 +218,5 @@ def report_to_csv_rows(report: EvalReport) -> list[list[str]]:
             + [repr(entry["ap_per_threshold"][t]) for t in report.thresholds]
             + [repr(entry["ap"])]
         )
-    rows.append(["mAP", "", "", "", repr(report.mean_ap)])
+    rows.append(["mAP"] + [""] * len(report.thresholds) + [repr(report.mean_ap)])
     return rows

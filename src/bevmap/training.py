@@ -22,10 +22,10 @@ from .decoder import DecoderConfig, forward, init_model_params
 from .geometry import Scene
 from .losses import LossConfig, total_loss
 from .matching import Assignment, GtTarget, gt_targets, unstable_scores
-from .priors import PriorBank, bank_from_dict, bank_to_dict
+from .priors import BankParseError, PriorBank, bank_from_dict, bank_to_dict
 from .rngutil import substream
 from .synth import FeaturePyramid, InstanceMask, rasterize_instances, render_bev
-from .tensorad import Tensor
+from .tensorad import ContractViolation, Tensor
 
 PRIOR_MODE_PRIOR = "prior"
 PRIOR_MODE_RANDOM = "random"
@@ -107,7 +107,9 @@ def init_adapter(channels: int, grid: tuple[int, int], seed: int, sd: float = 0.
 
 
 def project_pyramid(levels: list[np.ndarray], params: dict[str, Tensor]) -> list[Tensor]:
-    """Apply the adapter to each level: (C, h, w) -> (C, h, w)."""
+    """Apply the adapter to each level, (C, h, w) -> (C, h, w), and add the
+    positional surface `adapter.pos` to level 0; a level 0 of another grid
+    is a ContractViolation."""
     w, b = params["adapter.w"], params["adapter.b"]
     out = []
     for idx, level in enumerate(levels):
@@ -115,7 +117,7 @@ def project_pyramid(levels: list[np.ndarray], params: dict[str, Tensor]) -> list
         flat = ta.matmul(w, ta.reshape(Tensor(level), (c, h * wd)))
         biased = ta.transpose(ta.add_rows(ta.transpose(flat, (1, 0)), b), (1, 0))
         projected = ta.reshape(biased, (c, h, wd))
-        if idx == 0 and "adapter.pos" in params and params["adapter.pos"].shape == projected.shape:
+        if idx == 0:
             projected = ta.add(projected, params["adapter.pos"])
         out.append(projected)
     return out
@@ -282,12 +284,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: not a readable checkpoint ({e})") from e
     if "_meta" not in arrays:
         raise CheckpointError(f"{path}: no _meta entry, so not a checkpoint of format {CHECKPOINT_FORMAT}")
-    meta = json.loads(str(arrays.pop("_meta")))
-    if meta["format"] != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: checkpoint format {meta['format']!r}, expected {CHECKPOINT_FORMAT}")
+    meta_text = str(arrays.pop("_meta"))
     ckpt = Checkpoint((name, Tensor(values)) for name, values in arrays.items())
-    ckpt.decoder_cfg = DecoderConfig(**meta["decoder"]) if meta["decoder"] else None
-    ckpt.bank = bank_from_dict(meta["bank"]) if meta["bank"] else None
-    ckpt.features = meta["features"]
-    ckpt.dataset_fingerprint = meta["dataset_fingerprint"]
+    try:
+        meta = json.loads(meta_text)
+        if meta["format"] != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path}: checkpoint format {meta['format']!r}, expected {CHECKPOINT_FORMAT}")
+        ckpt.decoder_cfg = DecoderConfig(**meta["decoder"]) if meta["decoder"] else None
+        ckpt.bank = bank_from_dict(meta["bank"]) if meta["bank"] else None
+        ckpt.features = meta["features"]
+        ckpt.dataset_fingerprint = meta["dataset_fingerprint"]
+    except (json.JSONDecodeError, KeyError, TypeError, ContractViolation, BankParseError) as e:
+        raise CheckpointError(f"{path}: malformed _meta entry ({type(e).__name__}: {e})") from e
     return ckpt

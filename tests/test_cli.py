@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bevmap import cli
+from bevmap.attention import ALL_VARIANTS
 from bevmap.config import ConfigError, RunConfig, apply_overrides, config_from_dict, config_to_dict
 
 
@@ -45,6 +46,15 @@ def pipeline(tmp_path_factory):
         "--steps", "6", "--prior-mode", "prior", *TINY,
     ]) == 0
     return root, data, bank, run_dir
+
+
+@pytest.fixture(scope="module")
+def tall_data(tmp_path_factory):
+    """One scene on a 24-row grid; the pipeline's checkpoint has 32 rows."""
+    data = str(tmp_path_factory.mktemp("tall") / "data")
+    assert cli.main(["gen-data", "--out", data, "--count", "1", "--seed", "7", *TINY,
+                     "--set", "scenes.extent.h=24"]) == 0
+    return data
 
 
 def test_gen_data_artifacts(pipeline):
@@ -196,22 +206,48 @@ def _one_line_error(capsys) -> str:
     ("eval", ["--checkpoint", "{pickle}"], "error (CliError): {pickle}: not a readable checkpoint"),
     ("eval", ["--checkpoint", "{no_meta}"], "error (CliError): {no_meta}: no _meta entry"),
     ("eval", ["--set", "decoder.n_layers=1"], "error (CliError): decoder.n_layers is 1 but the checkpoint"),
+    ("eval", ["--checkpoint", "{old_variant}"],
+     "error (CliError): {old_variant}: malformed _meta entry (ContractViolation: unknown attention variant"),
+    ("eval", ["--checkpoint", "{not_json}"], "error (CliError): {not_json}: malformed _meta entry (JSONDecodeError"),
+    ("eval", ["--checkpoint", "{no_format}"], "error (CliError): {no_format}: malformed _meta entry (KeyError"),
+    ("eval", ["--data", "{tall}"], "error (CliError): {tall}: level-0 feature grid (16, 24, 16) does not match"),
+    ("train", ["--val", "{tall}"], "error (CliError): {tall}: level-0 feature grid (16, 24, 16) does not match"),
+    ("train", ["--set", "scenes.n_points=6"], "error (CliError): {data}: element 0 has 8 points, expected 6"),
+    ("gen-data", ["--count", "-1"], "error (ConfigError): scenes: count must be an integer >= 0, got -1"),
+    ("gen-data", ["--set", 'seed="abc"'], "error (ConfigError): seed must be an integer, got 'abc'"),
+    ("fit-priors", ["--k", "1000"], "error (CliError): {data}: fit_clusters: k=1000 exceeds element count"),
+    ("fit-priors", ["--n-pri", "9"], "error (CliError): {data}: abstract: n_pri=9 exceeds cluster count 4"),
 ])
-def test_bad_config_or_input_is_one_line(pipeline, tmp_path, capsys, command, args, expected):
+def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
+    ckpt = os.path.join(run_dir, "checkpoint.npz")
     paths = {
         "bank": bank,
+        "data": data,
+        "tall": tall_data,
         "bad_bank": str(tmp_path / "bank.json"),
         "pickle": str(tmp_path / "pickle.npz"),
         "no_meta": str(tmp_path / "no_meta.npz"),
+        "old_variant": str(tmp_path / "old_variant.npz"),
+        "not_json": str(tmp_path / "not_json.npz"),
+        "no_format": str(tmp_path / "no_format.npz"),
     }
     (tmp_path / "bank.json").write_text(json.dumps({"priors": 3}))
     (tmp_path / "pickle.npz").write_bytes(pickle.dumps({"a": 1}))
     np.savez(paths["no_meta"], w=np.zeros(2))
+    with np.load(ckpt) as f:
+        arrays = dict(f)
+    meta = json.loads(str(arrays["_meta"]))
+    meta["decoder"]["variant"] = "dmd_parallel"  # an order this code no longer has
+    np.savez(paths["old_variant"], **{**arrays, "_meta": np.array(json.dumps(meta))})
+    np.savez(paths["not_json"], **{**arrays, "_meta": np.array("{not json")})
+    del meta["format"]
+    np.savez(paths["no_format"], **{**arrays, "_meta": np.array(json.dumps(meta))})
     inputs = {
         "gen-data": [],
+        "fit-priors": ["--scenes", data, "--k", "4", "--n-pri", "4"],
         "train": ["--data", data, "--priors", bank, "--steps", "2"],
-        "eval": ["--data", data, "--checkpoint", os.path.join(run_dir, "checkpoint.npz")],
+        "eval": ["--data", data, "--checkpoint", ckpt],
     }[command]
     out = tmp_path / "out"
     rc = cli.main([command, *inputs, "--out", str(out), *TINY, *[a.format(**paths) for a in args]])
@@ -264,3 +300,6 @@ def test_every_flag_sets_a_config_key():
                 assert "." not in action.dest, (name, action.dest)
     report_flags = {s for a in commands["stability-report"]._actions for s in a.option_strings}
     assert report_flags == {"-h", "--help", "--runs", "--out-file"}
+    # every bench-attn --variant choice names one attention variant, and every variant has a choice
+    variant = next(a for a in commands["bench-attn"]._actions if a.dest == "variant")
+    assert sorted(cli.BENCH_VARIANTS[choice] for choice in variant.choices) == sorted(ALL_VARIANTS)

@@ -189,6 +189,9 @@ def test_report_serialization():
     rows = report_to_csv_rows(report)
     assert rows[0][0] == "class"
     assert rows[-1][0] == "mAP"
+    for thresholds in ((0.5,), (0.5, 1.0, 1.5)):
+        rows = report_to_csv_rows(evaluate(preds, gts, thresholds))
+        assert [len(row) for row in rows] == [len(thresholds) + 2] * len(rows)
 
 
 def test_predictions_from_output():
