@@ -23,10 +23,12 @@ import numpy as np
 from .attention import VARIANT_SCALE_THEN_SAMPLE, VARIANT_VANILLA, benchmark_attention
 from .config import (
     ConfigError,
+    DecoderSection,
     RunConfig,
     apply_overrides,
     config_to_dict,
-    load_config,
+    override_doc,
+    read_overrides,
     save_config,
 )
 from .decoder import DecoderConfig, forward
@@ -322,23 +324,26 @@ def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def _resolve(args, base: RunConfig) -> RunConfig:
-    """`base`, then --config, the command flags and --set on top.  A flag's
-    dest is the config key it sets."""
-    cfg = load_config(args.config, base) if args.config else base
+def _overrides(args) -> list[str]:
+    """--config, the command flags, then --set, as `key.path=value` overrides
+    in that order, so a later one wins.  A flag's dest is the config key it sets."""
     sections = {f.name for f in dataclasses.fields(RunConfig)}
     flags = [
         f"{dest}={json.dumps(value)}"
         for dest, value in vars(args).items()
         if value is not None and dest.split(".")[0] in sections
     ]
-    return apply_overrides(cfg, flags + (args.set or []))
+    return (read_overrides(args.config) if args.config else []) + flags + (args.set or [])
 
 
 def _eval_config(args) -> tuple[RunConfig, Checkpoint]:
     """The eval config resolved on top of the model its checkpoint records;
-    a model key that then differs from the checkpoint is an error."""
-    path = _require_path(_resolve(args, RunConfig()).io.checkpoint_path, "checkpoint (io.checkpoint_path)")
+    a model key that then differs from the checkpoint is an error.  The
+    checkpoint path is read before any config is checked, since model values
+    need only be valid together with the checkpoint's."""
+    overrides = _overrides(args)
+    io = override_doc(config_to_dict(RunConfig()), overrides)["io"]
+    path = _require_path(io["checkpoint_path"], "checkpoint (io.checkpoint_path)")
     try:
         ckpt = load_checkpoint(path)
     except CheckpointError as e:
@@ -346,12 +351,10 @@ def _eval_config(args) -> tuple[RunConfig, Checkpoint]:
     if ckpt.decoder_cfg is None or ckpt.features is None:
         raise CliError(f"{path}: checkpoint records no decoder or features config")
     model = dataclasses.asdict(ckpt.decoder_cfg)
-    defaults = RunConfig()
-    pinned = {f"decoder.{k}": v for k, v in model.items() if hasattr(defaults.decoder, k)}
+    pinned = {f"decoder.{k}": v for k, v in model.items() if hasattr(DecoderSection, k)}
     pinned.update({f"features.{k}": v for k, v in ckpt.features.items()})
     pinned["scenes.n_points"] = model["n_points"]
-    base = apply_overrides(defaults, [f"{k}={json.dumps(v)}" for k, v in pinned.items()])
-    cfg = _resolve(args, base)
+    cfg = apply_overrides(RunConfig(), [f"{k}={json.dumps(v)}" for k, v in pinned.items()] + overrides)
     for key, value in pinned.items():
         actual = functools.reduce(getattr, key.split("."), cfg)
         if actual != value:
@@ -415,13 +418,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "stability-report":
             cmd_stability_report(args.runs, args.out_file)
         elif args.command == "bench-attn":
-            cfg = _resolve(args, RunConfig())
+            cfg = apply_overrides(RunConfig(), _overrides(args))
             cmd_bench_attn(cfg, args.variant, args.out_file or os.path.join(cfg.io.out_dir, "bench_attn.csv"))
         elif args.command == "eval":
             cmd_eval(*_eval_config(args))
         else:
             commands = {"gen-data": cmd_gen_data, "fit-priors": cmd_fit_priors, "train": cmd_train}
-            commands[args.command](_resolve(args, RunConfig()))
+            commands[args.command](apply_overrides(RunConfig(), _overrides(args)))
     except (ConfigError, CliError) as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return 2

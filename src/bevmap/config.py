@@ -78,6 +78,11 @@ class TrainSection:
 class EvalSection:
     thresholds: list = field(default_factory=lambda: [0.5, 1.0, 1.5])
 
+    def __post_init__(self):
+        t = self.thresholds
+        if not (isinstance(t, list) and t and all(type(x) in (int, float) and x > 0 for x in t)):
+            raise ValueError(f"thresholds must be a non-empty list of positive numbers, got {t!r}")
+
 
 @dataclass
 class BenchSection:
@@ -166,24 +171,27 @@ def _from_dict(base, doc: dict, path: str):
         raise ConfigError(f"{path[:-1]}: {e}" if path else str(e)) from e
 
 
-def config_from_dict(doc: dict, base: RunConfig | None = None) -> RunConfig:
-    """The config `doc` describes; keys it leaves out keep their value in `base`."""
-    return _from_dict(base or RunConfig(), doc, "")
+def config_from_dict(doc: dict) -> RunConfig:
+    """The config `doc` describes; keys it leaves out keep their default."""
+    return _from_dict(RunConfig(), doc, "")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def read_overrides(path: str) -> list[str]:
+    """The config file at `path` (a run config or a snapshot) as overrides,
+    one `section=object` for each top-level key."""
     with open(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: line {e.lineno}: {e.msg}") from e
-    if isinstance(doc, dict):
-        doc.pop("command", None)  # snapshots carry the command they came from
-    return config_from_dict(doc, base)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
+    doc.pop("command", None)  # snapshots carry the command they came from
+    return [f"{key}={json.dumps(value)}" for key, value in doc.items()]
 
 
 def save_config(cfg: RunConfig, path: str, command: str | None = None) -> None:
@@ -195,9 +203,24 @@ def save_config(cfg: RunConfig, path: str, command: str | None = None) -> None:
         f.write("\n")
 
 
-def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply `section.key=value` overrides; values parse as JSON, else strings."""
-    doc = config_to_dict(cfg)
+def _set(node: dict, key: str, value, path: str) -> None:
+    """node[key] = value, where an object value merges into a section key by key."""
+    if key not in node:
+        raise ConfigError(f"unknown key {path + key!r}")
+    if isinstance(node[key], dict) != isinstance(value, dict):
+        wanted = "an object" if isinstance(node[key], dict) else "a value"
+        raise ConfigError(f"{path + key!r}: expected {wanted}, got {type(value).__name__}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _set(node[key], k, v, f"{path}{key}.")
+    else:
+        node[key] = value
+
+
+def override_doc(doc: dict, overrides: list[str]) -> dict:
+    """`doc`, a config as a plain document, with `section.key=value`
+    overrides applied in order; values parse as JSON, else strings.  Only
+    the keys are checked here."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
@@ -206,13 +229,14 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = doc
         parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"override {dotted!r}: no such section {part!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"override {dotted!r}: unknown key {parts[-1]!r}")
-        node[parts[-1]] = value
-    return config_from_dict(doc)
+        for part in reversed(parts[1:]):
+            value = {part: value}
+        _set(doc, parts[0], value, "")
+    return doc
+
+
+def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
+    """`cfg` with `section.key=value` overrides applied in order; the result
+    is checked once, so only the final values need to agree."""
+    return config_from_dict(override_doc(config_to_dict(cfg), overrides))

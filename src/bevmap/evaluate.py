@@ -10,7 +10,7 @@ predictions from their own scene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,7 +5,9 @@ mean-L1 point distance over a ground-truth element's equivalent orderings,
 so a reversed polyline or rotated polygon matches as cheaply as the
 canonical ordering.  Assignments are minimum-cost one-to-one; ties among
 optima are broken toward the lexicographically smallest pair list so runs
-are bit-reproducible.
+are bit-reproducible.  Such ties occur in training: two ground-truth rows
+whose costs differ by a constant over two columns cost the same either way
+round, and the solver alone may return either.
 
 The stability scores measure, per forward pass, how many ground-truth
 elements switch their assigned query between decoder layers (u, layer to
@@ -15,7 +17,7 @@ previous layer) and between the first and last layer (u_t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np

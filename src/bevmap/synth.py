@@ -56,6 +56,8 @@ class SceneConfig:
     noise_sd: float = 0.1  # m
 
     def __post_init__(self):
+        if self.n_points < 2:
+            raise GenerationError(f"n_points must be >= 2, got {self.n_points}")
         for name in ("divider_count", "crossing_count", "boundary_count"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:

@@ -7,8 +7,8 @@ broadcast implicitly -- alignment is done with explicit reshape / repeat,
 which keeps the attention wiring free of silent shape bugs.
 
 A tape is rebuilt on every forward pass.  `backward` walks it once in
-reverse and returns a `GradMap` (node id -> gradient array).  `grad_check`
-compares analytic gradients against central finite differences.
+reverse and returns a `GradMap` of leaf gradients.  `grad_check` compares
+analytic gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "GradMap",
-    "tensor",
     "primitive_forward",
     "registered_primitives",
     "backward",
@@ -90,14 +89,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    @property
-    def node_id(self) -> int | None:
-        """Node id on the currently active tape, if this tensor is recorded there."""
-        tape = active_tape()
-        if tape is not None and self._tape is tape:
-            return self._nid
-        return None
-
     def item(self) -> float:
         return float(self.values.reshape(()))
 
@@ -136,10 +127,6 @@ class Tensor:
 
     def __neg__(self):
         return scale(self, -1.0)
-
-
-def tensor(values) -> Tensor:
-    return Tensor(values)
 
 
 class Node:
@@ -210,11 +197,18 @@ class Tape:
 
 
 class GradMap(dict):
-    """node_id -> gradient array, each shaped like that node's output."""
+    """Leaf node id -> gradient array, shaped like that leaf's value.
+
+    `backward` keeps leaf gradients only: each intermediate gradient is freed
+    as soon as its node's backward has consumed it.  A leaf the output does
+    not depend on has no entry; `of` returns zeros for it.
+    """
 
     def of(self, t: Tensor) -> np.ndarray:
-        """Gradient for a tensor recorded on the tape this map came from (zeros if unreached)."""
-        if t._nid is not None and t._nid in self:
+        """Gradient for a leaf recorded on the tape this map came from (zeros if unreached)."""
+        if t._tape is not None and t._tape.nodes[t._nid].kind != "leaf":
+            raise ContractViolation("GradMap.of: tensor is an intermediate; backward keeps leaf gradients only")
+        if t._nid in self:
             return self[t._nid]
         return np.zeros(t.shape)
 
@@ -256,14 +250,11 @@ def primitive_forward(kind: str, inputs: Sequence[Tensor], params: dict | None =
     return _apply(kind, list(inputs), dict(params or {}))
 
 
-def backward(tape: Tape, output: Tensor | int) -> GradMap:
-    """Reverse sweep from a scalar output node; leaves unreachable from it get zeros."""
-    if isinstance(output, Tensor):
-        if output._tape is not tape or output._nid is None:
-            raise ContractViolation("backward: output tensor is not recorded on this tape")
-        out_id = output._nid
-    else:
-        out_id = int(output)
+def backward(tape: Tape, output: Tensor) -> GradMap:
+    """Reverse sweep from a scalar output tensor; returns leaf gradients only."""
+    if output._tape is not tape or output._nid is None:
+        raise ContractViolation("backward: output tensor is not recorded on this tape")
+    out_id = output._nid
     out_node = tape.nodes[out_id]
     if out_node.output.size != 1:
         raise ContractViolation(
@@ -277,7 +268,7 @@ def backward(tape: Tape, output: Tensor | int) -> GradMap:
         node = tape.nodes[nid]
         if node.kind == "leaf":
             continue
-        input_grads = _BACKWARD[node.kind](node, grads[nid])
+        input_grads = _BACKWARD[node.kind](node, grads.pop(nid))
         for inp, g in zip(node.inputs, input_grads):
             if g is None:
                 continue
@@ -285,9 +276,6 @@ def backward(tape: Tape, output: Tensor | int) -> GradMap:
                 grads[inp] = grads[inp] + g
             else:
                 grads[inp] = g
-    for nid, node in enumerate(tape.nodes):
-        if node.kind == "leaf" and nid not in grads:
-            grads[nid] = np.zeros(node.output.shape)
     return grads
 
 

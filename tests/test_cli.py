@@ -188,6 +188,15 @@ def test_override_round_trip():
     assert config_from_dict(doc).train.steps == 123
 
 
+def test_object_override_merges_into_its_section():
+    # a --config file reaches the config as one such object per section
+    cfg = apply_overrides(RunConfig(), ["scenes.extent.w=20"])
+    cfg = apply_overrides(cfg, ['scenes={"extent": {"h": 40}}'])
+    assert (cfg.scenes.extent.h, cfg.scenes.extent.w) == (40, 20)
+    with pytest.raises(ConfigError, match="'scenes': expected an object, got int"):
+        apply_overrides(RunConfig(), ["scenes=5"])
+
+
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
@@ -217,6 +226,13 @@ def _one_line_error(capsys) -> str:
     ("gen-data", ["--set", 'seed="abc"'], "error (ConfigError): seed must be an integer, got 'abc'"),
     ("fit-priors", ["--k", "1000"], "error (CliError): {data}: fit_clusters: k=1000 exceeds element count"),
     ("fit-priors", ["--n-pri", "9"], "error (CliError): {data}: abstract: n_pri=9 exceeds cluster count 4"),
+    ("eval", ["--set", 'eval.thresholds="abc"'],
+     "error (ConfigError): eval: thresholds must be a non-empty list of positive numbers, got 'abc'"),
+    ("eval", ["--set", "eval.thresholds=[]"],
+     "error (ConfigError): eval: thresholds must be a non-empty list of positive numbers, got []"),
+    ("eval", ["--set", "eval.thresholds=[-1]"],
+     "error (ConfigError): eval: thresholds must be a non-empty list of positive numbers, got [-1]"),
+    ("gen-data", ["--set", "scenes.n_points=1"], "error (ConfigError): scenes: n_points must be >= 2, got 1"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
@@ -264,6 +280,21 @@ def test_eval_reads_the_model_from_its_checkpoint(pipeline, tmp_path):
         out = tmp_path / name
         assert cli.main(["eval", "--data", data, "--checkpoint", ckpt, "--out", str(out), "--seed", "7",
                          *model_flags]) == 0
+        reports.append((out / "eval_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_eval_takes_model_keys_valid_only_on_its_checkpoint(pipeline, tmp_path):
+    # decoder.n_heads=3 is valid for this 24-channel model, not for the default 32 channels
+    root, data, bank, run_dir = pipeline
+    run = tmp_path / "run24"
+    assert cli.main(["train", "--data", data, "--priors", bank, "--out", str(run), "--seed", "7", "--steps", "2",
+                     *TINY, "--set", "features.channels=24", "--set", "decoder.n_heads=3"]) == 0
+    reports = []
+    for name, model_flags in (("repeated", ["--set", "decoder.n_heads=3"]), ("bare", [])):
+        out = tmp_path / name
+        assert cli.main(["eval", "--data", data, "--checkpoint", str(run / "checkpoint.npz"), "--out", str(out),
+                         "--seed", "7", *model_flags]) == 0
         reports.append((out / "eval_report.json").read_bytes())
     assert reports[0] == reports[1]
 

@@ -129,6 +129,10 @@ def test_tie_breaking_lexicographic():
     # two optimal assignments; (0,0),(1,1) beats (0,1),(1,0)
     cost = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert [(g, q) for g, q, _ in hungarian(cost).pairs] == [(0, 0), (1, 1)]
+    # rows differing by a constant tie on the swapped columns; the solver alone
+    # returns (0,2),(1,1), the tie-break the lexicographically smaller list
+    cost = np.array([[4.0, 3.5, 1.0, 4.5], [6.0, 5.5, 3.0, 6.5]])
+    assert [(g, q) for g, q, _ in hungarian(cost).pairs] == [(0, 1), (1, 2)]
 
 
 def test_non_finite_rejected():

@@ -93,6 +93,22 @@ def test_gradmap_shapes_match_outputs():
         assert g.shape == tape.nodes[nid].output.shape
 
 
+def test_gradmap_holds_leaf_gradients_only():
+    with Tape() as tape:
+        x = Tensor([1.0, -2.0])
+        w = Tensor([3.0, 4.0])
+        unreached = Tensor([5.0])
+        _ = ta.sigmoid(unreached)
+        h = ta.relu(ta.multiply(x, w))
+        f = ta.reduce_sum(ta.sigmoid(h))
+        grads = ta.backward(tape, f)
+    assert grads and all(tape.nodes[nid].kind == "leaf" for nid in grads)
+    assert np.array_equal(grads.of(unreached), np.zeros(1))
+    for intermediate in (h, f):
+        with pytest.raises(ContractViolation, match="intermediate"):
+            grads.of(intermediate)
+
+
 def test_tape_replay_bit_identical():
     rng = np.random.default_rng(2)
     with Tape() as tape:
