@@ -269,16 +269,18 @@ def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
 
 def cmd_stability_report(runs: list[str], out_path: str) -> None:
     entries = []
+    by_mode: dict[str, list[float]] = {}
     for run_dir in runs:
         path = _require_path(os.path.join(run_dir, "stability.json"), "run stability summary")
         with open(path) as f:
-            summary = json.load(f)
+            try:
+                summary = json.load(f)
+                by_mode.setdefault(summary["prior_mode"], []).append(float(summary["final_epoch_u_t"]))
+            except (ValueError, KeyError, TypeError) as e:
+                raise CliError(f"{path}: malformed run summary ({type(e).__name__}: {e})") from e
         summary["run_dir"] = run_dir
         entries.append(summary)
     doc = {"runs": entries}
-    by_mode: dict[str, list[float]] = {}
-    for e in entries:
-        by_mode.setdefault(e["prior_mode"], []).append(e["final_epoch_u_t"])
     doc["mean_final_epoch_u_t_by_mode"] = {k: float(np.mean(v)) for k, v in by_mode.items()}
     if {"prior", "random"} <= set(by_mode):
         doc["u_t_margin_random_minus_prior"] = (

@@ -6,14 +6,18 @@ are plain numpy math (used for inference and benchmarking).  Shapes never
 broadcast implicitly -- alignment is done with explicit reshape / repeat,
 which keeps the attention wiring free of silent shape bugs.
 
-A tape is rebuilt on every forward pass.  `backward` walks it once in
-reverse and returns a `GradMap` of leaf gradients.  `grad_check` compares
-analytic gradients against central finite differences.
+A tape is rebuilt on every forward pass.  Each op node keeps only what its
+backward reads (its input ids and backward context), not its output, so an
+activation is freed as soon as no caller and no backward context holds it.
+`backward` walks the tape once in reverse and returns a `GradMap` of leaf
+gradients.  `grad_check` compares analytic gradients against central finite
+differences.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +28,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "GradMap",
-    "primitive_forward",
     "registered_primitives",
     "backward",
     "grad_check",
@@ -130,12 +133,17 @@ class Tensor:
 
 
 class Node:
-    __slots__ = ("kind", "inputs", "params", "output", "ctx")
+    """One tape entry: what its backward reads, not its forward output.
 
-    def __init__(self, kind, inputs, params, output, ctx):
+    A leaf keeps its value as `output` (a leaf gradient is shaped like it);
+    an op node keeps its input ids and backward context, and `output` None.
+    """
+
+    __slots__ = ("kind", "inputs", "output", "ctx")
+
+    def __init__(self, kind, inputs, output, ctx):
         self.kind = kind
         self.inputs = inputs  # tuple of node ids, topologically earlier
-        self.params = params
         self.output = output
         self.ctx = ctx
 
@@ -169,31 +177,15 @@ class Tape:
         if t._tape is self and t._nid is not None:
             return t._nid
         nid = len(self.nodes)
-        self.nodes.append(Node("leaf", (), {}, t.values, ()))
+        self.nodes.append(Node("leaf", (), t.values, ()))
         t._tape = self
         t._nid = nid
         return nid
 
-    def _record(self, kind, input_ids, params, output, ctx) -> int:
+    def _record(self, kind, input_ids, ctx) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(kind, tuple(input_ids), params, output, ctx))
+        self.nodes.append(Node(kind, tuple(input_ids), None, ctx))
         return nid
-
-    def replay(self) -> bool:
-        """Recompute every node from its recorded inputs; True iff bit-identical."""
-        outs: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.kind == "leaf":
-                outs.append(node.output)
-                continue
-            ins = [outs[i] for i in node.inputs]
-            recomputed, _ = _FORWARD[node.kind](ins, node.params)
-            if recomputed.shape != node.output.shape:
-                return False
-            if not np.array_equal(recomputed, node.output):
-                return False
-            outs.append(recomputed)
-        return True
 
 
 class GradMap(dict):
@@ -201,11 +193,19 @@ class GradMap(dict):
 
     `backward` keeps leaf gradients only: each intermediate gradient is freed
     as soon as its node's backward has consumed it.  A leaf the output does
-    not depend on has no entry; `of` returns zeros for it.
+    not depend on has no entry; `of` returns zeros for it.  The map holds a
+    weak reference to its tape, so it keeps no tape alive, yet a tensor since
+    relinked to another tape is refused rather than read under a foreign id.
     """
+
+    def __init__(self, tape: "Tape"):
+        super().__init__()
+        self._tape = weakref.ref(tape)
 
     def of(self, t: Tensor) -> np.ndarray:
         """Gradient for a leaf recorded on the tape this map came from (zeros if unreached)."""
+        if t._tape is not None and t._tape is not self._tape():
+            raise ContractViolation("GradMap.of: tensor is recorded on another tape than this map's")
         if t._tape is not None and t._tape.nodes[t._nid].kind != "leaf":
             raise ContractViolation("GradMap.of: tensor is an intermediate; backward keeps leaf gradients only")
         if t._nid in self:
@@ -217,7 +217,7 @@ class GradMap(dict):
 # Primitive registry and application
 # --------------------------------------------------------------------------
 
-# forward: (input arrays, params) -> (output array, ctx)
+# forward: (input arrays, params) -> (output array, ctx); ctx holds all its backward reads
 # backward: (node, upstream grad) -> list of grads aligned with node.inputs (None = no grad)
 _FORWARD: dict[str, Callable] = {}
 _BACKWARD: dict[str, Callable] = {}
@@ -239,29 +239,18 @@ def _apply(kind: str, inputs: Sequence[Tensor], params: dict) -> Tensor:
     if tape is None:
         return Tensor(out)
     ids = [tape._ensure(t) for t in inputs]
-    nid = tape._record(kind, ids, params, out, ctx)
-    return Tensor(out, tape, nid)
-
-
-def primitive_forward(kind: str, inputs: Sequence[Tensor], params: dict | None = None) -> Tensor:
-    """Generic entry point: apply a registered primitive by name."""
-    if kind not in _FORWARD:
-        raise ContractViolation(f"unknown primitive {kind!r}; registered: {registered_primitives()}")
-    return _apply(kind, list(inputs), dict(params or {}))
+    return Tensor(out, tape, tape._record(kind, ids, ctx))
 
 
 def backward(tape: Tape, output: Tensor) -> GradMap:
     """Reverse sweep from a scalar output tensor; returns leaf gradients only."""
     if output._tape is not tape or output._nid is None:
         raise ContractViolation("backward: output tensor is not recorded on this tape")
+    if output.size != 1:
+        raise ContractViolation(f"backward: output must be scalar-shaped, got shape {output.shape}")
     out_id = output._nid
-    out_node = tape.nodes[out_id]
-    if out_node.output.size != 1:
-        raise ContractViolation(
-            f"backward: output must be scalar-shaped, got shape {out_node.output.shape}"
-        )
-    grads = GradMap()
-    grads[out_id] = np.ones(out_node.output.shape)
+    grads = GradMap(tape)
+    grads[out_id] = np.ones(output.shape)
     for nid in range(out_id, -1, -1):
         if nid not in grads:
             continue
@@ -559,8 +548,8 @@ _register("reduce_mean", _fwd_reduce_mean, _bwd_reduce_mean)
 
 _register(
     "scale",
-    lambda ins, p: (ins[0] * p["factor"], ()),
-    lambda node, g: [g * node.params["factor"]],
+    lambda ins, p: (ins[0] * p["factor"], (p["factor"],)),
+    lambda node, g: [g * node.ctx[0]],
 )
 
 

@@ -272,6 +272,19 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
     assert not (out / f"{command}_config.json").exists()
 
 
+@pytest.mark.parametrize("content,expected", [
+    ("{}", "malformed run summary (KeyError: 'prior_mode')"),
+    ("not json", "malformed run summary (JSONDecodeError: "),
+])
+def test_stability_report_on_a_malformed_summary_is_one_line(tmp_path, capsys, content, expected):
+    summary = tmp_path / "stability.json"
+    summary.write_text(content)
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", str(tmp_path), "--out-file", str(report)]) == 2
+    assert f"error (CliError): {summary}: {expected}" in _one_line_error(capsys)
+    assert not report.exists()
+
+
 def test_eval_reads_the_model_from_its_checkpoint(pipeline, tmp_path):
     root, data, bank, run_dir = pipeline
     ckpt = os.path.join(run_dir, "checkpoint.npz")

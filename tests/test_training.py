@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from bevmap import synth
+from bevmap import synth, training
+from bevmap import tensorad as ta
 from bevmap.decoder import DecoderConfig
 from bevmap.geometry import BevExtent
 from bevmap.priors import abstract, fit_clusters
@@ -68,6 +71,27 @@ def test_training_deterministic(world):
         result = train(params, eff_bank, dataset, eff_cfg, tcfg)
         logs.append(result.log)
     assert logs[0] == logs[1]
+
+
+def test_each_step_frees_its_tape_before_the_next_forward(world, monkeypatch):
+    scenes, dcfg, dataset, bank = world
+    tapes, alive_at_forward = [], []
+    project_pyramid, total_loss = training.project_pyramid, training.total_loss
+
+    def forward_start(levels, params):
+        alive_at_forward.append([t() is not None for t in tapes])
+        return project_pyramid(levels, params)
+
+    def recording_loss(*args, **kwargs):
+        tapes.append(weakref.ref(ta.active_tape()))
+        return total_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "project_pyramid", forward_start)
+    monkeypatch.setattr(training, "total_loss", recording_loss)
+    tcfg = TrainConfig(steps=3, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
+    params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
+    train(params, eff_bank, dataset, eff_cfg, tcfg)
+    assert alive_at_forward == [[], [False], [False, False]]
 
 
 def test_modes_differ_only_through_reference_path(world):
