@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any
 
@@ -43,6 +44,13 @@ class FeaturesSection:
     num_levels: int = 2
     truncation: float = 3.0
     noise_sd: float = 0.01
+
+    def __post_init__(self):
+        t, sd = self.truncation, self.noise_sd
+        if not (type(t) in (int, float) and math.isfinite(t) and t > 0):
+            raise ValueError(f"truncation must be a finite number > 0, got {t!r}")
+        if not (type(sd) in (int, float) and math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"noise_sd must be a finite number >= 0, got {sd!r}")
 
 
 @dataclass

@@ -116,11 +116,20 @@ class Scene:
 # --------------------------------------------------------------------------
 
 
-def _walk_equal_chords(chain: np.ndarray, start: np.ndarray, hops: int, c: float):
-    """Place `hops` points along the chain, each at Euclidean distance c from
-    the previous one (first circle crossing).  Returns (points, leftover arc);
+def _chain_steps(chain: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """Per-segment invariants of every walk along `chain`: the step vectors
+    d = b - a, their squared lengths d @ d, and the segment lengths."""
+    ds = [chain[k + 1] - chain[k] for k in range(chain.shape[0] - 1)]
+    return ds, [float(d @ d) for d in ds], np.linalg.norm(np.diff(chain, axis=0), axis=1)
+
+
+def _walk_equal_chords(chain: np.ndarray, steps: tuple, hops: int, c: float):
+    """Place `hops` points along the chain from its first vertex, each at
+    Euclidean distance c from the previous one (first circle crossing);
+    `steps` is `_chain_steps(chain)`.  Returns (points, leftover arc);
     leftover is negative when the chain ends before all hops are placed."""
-    pts = [start]
+    ds, qas, seg_len = steps
+    pts = [chain[0]]
     seg_idx = 0
     seg_u = 0.0  # fraction already consumed of the current segment
     n_seg = chain.shape[0] - 1
@@ -129,11 +138,10 @@ def _walk_equal_chords(chain: np.ndarray, start: np.ndarray, hops: int, c: float
         placed = False
         while seg_idx < n_seg:
             a = chain[seg_idx]
-            b = chain[seg_idx + 1]
-            d = b - a
+            d = ds[seg_idx]
             # |a + u d - x|^2 = c^2 for u in (seg_u, 1]
             e = a - x
-            qa = float(d @ d)
+            qa = qas[seg_idx]
             qb = 2.0 * float(e @ d)
             qc = float(e @ e) - c * c
             disc = qb * qb - 4.0 * qa * qc
@@ -153,7 +161,6 @@ def _walk_equal_chords(chain: np.ndarray, start: np.ndarray, hops: int, c: float
         if not placed:
             return np.asarray(pts), -1.0
     # leftover arc from the last placed point to the chain end
-    seg_len = np.linalg.norm(np.diff(chain, axis=0), axis=1)
     if seg_idx >= n_seg:
         leftover = 0.0
     else:
@@ -185,16 +192,17 @@ def resample(points: np.ndarray, n: int, closed: bool = False) -> np.ndarray:
     # chord <= arc per hop, so the equal-arc hop bounds the chord from above
     hi = total / hops
     lo = 0.0
+    steps = _chain_steps(chain)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        _, leftover = _walk_equal_chords(chain, chain[0], hops, mid)
+        _, leftover = _walk_equal_chords(chain, steps, hops, mid)
         if leftover > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-15 * total:
             break
-    out, _ = _walk_equal_chords(chain, chain[0], hops, 0.5 * (lo + hi))
+    out, _ = _walk_equal_chords(chain, steps, hops, 0.5 * (lo + hi))
     if out.shape[0] < hops + 1:
         out = np.concatenate([out, np.repeat(chain[-1:], hops + 1 - out.shape[0], axis=0)])
     if closed:

@@ -92,23 +92,14 @@ def _focal_class_cost(probs: np.ndarray, class_id: int, cfg: CostConfig) -> np.n
     return pos - neg
 
 
-def pair_cost(
-    pred_logits: np.ndarray,
-    pred_points: np.ndarray,
-    gt: GtTarget,
-    cfg: CostConfig,
-) -> float:
-    """Matching cost of one (query, GT) pair; points in normalized coordinates."""
-    cost, _ = pair_cost_with_ordering(pred_logits, pred_points, gt, cfg)
-    return cost
-
-
 def pair_cost_with_ordering(
     pred_logits: np.ndarray,
     pred_points: np.ndarray,
     gt: GtTarget,
     cfg: CostConfig,
 ) -> tuple[float, int]:
+    """Matching cost of one (query, GT) pair and the GT ordering that attains
+    it; points in normalized coordinates."""
     probs = stable_sigmoid(np.asarray(pred_logits, dtype=np.float64)[None, :])
     cls = float(_focal_class_cost(probs, gt.class_id, cfg)[0])
     diffs = np.abs(pred_points[None, :, :] - gt.orderings).mean(axis=(1, 2))

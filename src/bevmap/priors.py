@@ -199,16 +199,6 @@ def fit_clusters(
     return KMeansFit(clusters, labels, history, iterations)
 
 
-def canonical_kmeans(
-    elements: list[MapElement],
-    extent: BevExtent,
-    k: int,
-    seed: int,
-    max_iters: int = 100,
-) -> list[Cluster]:
-    return fit_clusters(elements, extent, k, seed, max_iters).clusters
-
-
 # --------------------------------------------------------------------------
 # Abstraction to regular archetypes
 # --------------------------------------------------------------------------

@@ -218,16 +218,42 @@ def _min_dist_to_segments(px: np.ndarray, py: np.ndarray, segments: np.ndarray) 
     return d.min(axis=1).reshape(h, w)
 
 
+_TILE = 16  # cells per side of a distance tile
+
+
 def class_distance_channels(scene: Scene, truncation: float = 3.0) -> np.ndarray:
-    """Per-class truncated distance transform channels, shape (3, H, W)."""
+    """Per-class truncated distance transform channels, shape (3, H, W).
+
+    Computed per `_TILE` x `_TILE` block of cells over only the segments that can
+    come within `truncation` of the block; byte-equal to clipping
+    `_min_dist_to_segments` over every segment of the class."""
     xs, ys = _cell_centers(scene.extent)
-    channels = []
-    for class_id in (CLASS_DIVIDER, CLASS_PED_CROSSING, CLASS_BOUNDARY):
+    out = np.full((3, xs.size, ys.size), truncation, dtype=np.float64)
+    for c, class_id in enumerate((CLASS_DIVIDER, CLASS_PED_CROSSING, CLASS_BOUNDARY)):
         segs = [_segments_of(e) for e in scene.elements if e.class_id == class_id]
-        seg = np.concatenate(segs, axis=0) if segs else np.zeros((0, 2, 2))
-        d = _min_dist_to_segments(xs, ys, seg)
-        channels.append(np.minimum(d, truncation))
-    return np.stack(channels)
+        if not segs:
+            continue
+        seg = np.concatenate(segs, axis=0)
+        lo, hi = seg.min(axis=1), seg.max(axis=1)  # (S, 2) bounding boxes
+        # Culling is exact.  A culled segment's box is more than r from every
+        # cell centre of the tile, so its true distance exceeds truncation +
+        # pad; pad (1e-9 of the largest coordinate) dwarfs the rounding of the
+        # computed distance, which therefore stays >= truncation and cannot
+        # change the clipped minimum.  Kept segments go through the same float
+        # ops as in the dense call, and a minimum over a subset holding the
+        # nearest segment is the same float.
+        pad = 1e-9 * max(np.abs(xs).max(), np.abs(ys).max(), np.abs(seg).max())
+        r = truncation + pad
+        for i in range(0, xs.size, _TILE):
+            px = xs[i : i + _TILE]
+            near_x = (lo[:, 0] <= px[-1] + r) & (hi[:, 0] >= px[0] - r)
+            for j in range(0, ys.size, _TILE):
+                py = ys[j : j + _TILE]
+                keep = near_x & (lo[:, 1] <= py[-1] + r) & (hi[:, 1] >= py[0] - r)
+                if keep.any():
+                    d = _min_dist_to_segments(px, py, seg[keep])
+                    out[c, i : i + _TILE, j : j + _TILE] = np.minimum(d, truncation)
+    return out
 
 
 def average_pool2(a: np.ndarray) -> np.ndarray:

@@ -233,6 +233,12 @@ def _one_line_error(capsys) -> str:
     ("eval", ["--set", "eval.thresholds=[-1]"],
      "error (ConfigError): eval: thresholds must be a non-empty list of positive numbers, got [-1]"),
     ("gen-data", ["--set", "scenes.n_points=1"], "error (ConfigError): scenes: n_points must be >= 2, got 1"),
+    ("train", ["--set", 'features.truncation="abc"'],
+     "error (ConfigError): features: truncation must be a finite number > 0, got 'abc'"),
+    ("train", ["--set", "features.truncation=-1"],
+     "error (ConfigError): features: truncation must be a finite number > 0, got -1"),
+    ("train", ["--set", "features.noise_sd=-1"],
+     "error (ConfigError): features: noise_sd must be a finite number >= 0, got -1"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevmap import geometry as geo
+from bevmap import synth
 from bevmap.geometry import (
     BevExtent,
     DegenerateGeometryError,
@@ -67,6 +70,109 @@ def test_resample_spacing_coefficient_of_variation():
 def test_resample_degenerate_input():
     with pytest.raises(DegenerateGeometryError):
         resample(np.zeros((4, 2)), 5)
+
+
+def _reference_walk(chain, start, hops, c):
+    """`_walk_equal_chords` as it was before its per-segment terms were
+    hoisted: d and d @ d recomputed on every walk."""
+    pts = [start]
+    seg_idx = 0
+    seg_u = 0.0
+    n_seg = chain.shape[0] - 1
+    for _ in range(hops):
+        x = pts[-1]
+        placed = False
+        while seg_idx < n_seg:
+            a = chain[seg_idx]
+            b = chain[seg_idx + 1]
+            d = b - a
+            e = a - x
+            qa = float(d @ d)
+            qb = 2.0 * float(e @ d)
+            qc = float(e @ e) - c * c
+            disc = qb * qb - 4.0 * qa * qc
+            root = None
+            if qa > 0.0 and disc >= 0.0:
+                sq = math.sqrt(disc)
+                for u in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
+                    if seg_u < u <= 1.0 + 1e-12:
+                        root = min(u, 1.0) if root is None else min(root, min(u, 1.0))
+            if root is not None:
+                seg_u = root
+                pts.append(a + root * d)
+                placed = True
+                break
+            seg_idx += 1
+            seg_u = 0.0
+        if not placed:
+            return np.asarray(pts), -1.0
+    seg_len = np.linalg.norm(np.diff(chain, axis=0), axis=1)
+    if seg_idx >= n_seg:
+        leftover = 0.0
+    else:
+        leftover = (1.0 - seg_u) * seg_len[seg_idx] + float(seg_len[seg_idx + 1 :].sum())
+    return np.asarray(pts), leftover
+
+
+def _reference_resample(points, n, closed=False):
+    pts = np.asarray(points, dtype=np.float64)
+    chain = np.concatenate([pts, pts[:1]], axis=0) if closed else pts
+    seg = np.linalg.norm(np.diff(chain, axis=0), axis=1)
+    total = float(seg.sum())
+    chain = chain[np.concatenate([[True], seg > 0.0])]
+    hops = n if closed else n - 1
+    hi = total / hops
+    lo = 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        _, leftover = _reference_walk(chain, chain[0], hops, mid)
+        if leftover > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * total:
+            break
+    out, _ = _reference_walk(chain, chain[0], hops, 0.5 * (lo + hi))
+    if out.shape[0] < hops + 1:
+        out = np.concatenate([out, np.repeat(chain[-1:], hops + 1 - out.shape[0], axis=0)])
+    if closed:
+        out = out[:n]
+    else:
+        out[-1] = pts[-1]
+    out[0] = pts[0]
+    return out
+
+
+def test_resample_bytes_equal_reference_on_generated_scenes(monkeypatch):
+    calls = []
+
+    def recording(points, n, closed=False):
+        calls.append((np.array(points), n, closed))
+        return resample(points, n, closed)
+
+    monkeypatch.setattr(synth, "resample", recording)
+    cfg = synth.SceneConfig(
+        n_points=20, divider_count=(3, 3), crossing_count=(2, 2), boundary_count=(2, 2),
+        divider_lanes=3, crossing_slots=2,
+    )
+    for seed in (7000, 7001):
+        synth.generate_scene(cfg, seed)
+    assert len(calls) == 14 and {c for _, _, c in calls} == {False, True}
+    for pts, n, closed in calls:
+        assert resample(pts, n, closed).tobytes() == _reference_resample(pts, n, closed).tobytes()
+
+
+def test_resample_bytes_equal_reference_on_random_chains():
+    rng = np.random.default_rng(5)
+    for k in range(40):
+        m = int(rng.integers(2, 30))
+        step = 10.0 ** rng.uniform(-3, 1)
+        pts = np.cumsum(rng.normal(0.0, step, (m, 2)), axis=0)
+        if k % 5 == 0:
+            pts = np.insert(pts, m // 2, pts[m // 2], axis=0)  # a repeated vertex
+        n = int(rng.integers(2, 25))
+        closed = bool(k % 2)
+        assert resample(pts, n, closed).tobytes() == _reference_resample(pts, n, closed).tobytes()
 
 
 # --------------------------------------------------------------------------

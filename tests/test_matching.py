@@ -14,7 +14,6 @@ from bevmap.matching import (
     gt_targets,
     hungarian,
     match_layer,
-    pair_cost,
     pair_cost_with_ordering,
     unstable_scores,
 )
@@ -34,7 +33,7 @@ def _gt_line(points):
 def test_exact_match_has_zero_point_term():
     gt = _gt_line([[0.1, 0.1], [0.9, 0.9]])
     cfg = CostConfig(lambda_cls=0.0, lambda_pts=5.0)
-    cost = pair_cost(np.zeros(3), gt.orderings[0], gt, cfg)
+    cost = pair_cost_with_ordering(np.zeros(3), gt.orderings[0], gt, cfg)[0]
     assert cost == 0.0
 
 
@@ -45,8 +44,8 @@ def test_reversed_gt_same_cost():
     pred_pts = rng.uniform(0, 1, (2, 2))
     logits = rng.normal(size=3)
     cfg = CostConfig()
-    assert pair_cost(logits, pred_pts, gt, cfg) == pytest.approx(
-        pair_cost(logits, pred_pts, gt_rev, cfg), abs=1e-15
+    assert pair_cost_with_ordering(logits, pred_pts, gt, cfg)[0] == pytest.approx(
+        pair_cost_with_ordering(logits, pred_pts, gt_rev, cfg)[0], abs=1e-15
     )
 
 

@@ -22,7 +22,6 @@ from bevmap.priors import (
     PriorShape,
     abstract,
     bank_to_dict,
-    canonical_kmeans,
     check_fingerprint,
     fit_clusters,
     fit_quadratic_curve,
@@ -114,7 +113,7 @@ def test_k_exceeds_elements():
 
 def test_canonical_kmeans_surface():
     elements = [_line_element(2.0), _line_element(8.0), _line_element(2.1)]
-    clusters = canonical_kmeans(elements, EXT, k=2, seed=0)
+    clusters = fit_clusters(elements, EXT, k=2, seed=0).clusters
     assert len(clusters) == 2
     assert sum(c.member_count for c in clusters) == 3
 

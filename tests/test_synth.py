@@ -93,6 +93,57 @@ def test_distance_channel_zero_on_divider():
     assert np.all(channels[1] == 3.0)
 
 
+def _dense_distance_channels(scene, truncation):
+    """The untiled transform: every cell against every segment of a class."""
+    xs, ys = synth._cell_centers(scene.extent)
+    out = []
+    for class_id in (CLASS_DIVIDER, CLASS_PED_CROSSING, CLASS_BOUNDARY):
+        segs = [synth._segments_of(e) for e in scene.elements if e.class_id == class_id]
+        seg = np.concatenate(segs, axis=0) if segs else np.zeros((0, 2, 2))
+        out.append(np.minimum(synth._min_dist_to_segments(xs, ys, seg), truncation))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("truncation", [0.5, 2, 3.0, 100.0])
+def test_tiled_distance_channels_equal_dense_on_edge_cases(truncation):
+    # 37 x 23 cells is no multiple of the tile; 100 m exceeds the extent
+    ext = BevExtent(-30, 30, -15, 15, 37, 23)
+    dx, dy = ext.cell_size
+    x_edge = ext.x_min + synth._TILE * dx  # the border between tile rows 0 and 1
+    y_edge = ext.y_min + synth._TILE * dy
+    x_centre = ext.x_min + (synth._TILE + 0.5) * dx  # first cell centre of tile row 1
+    elements = [
+        # one-segment class, lying on a tile edge
+        MapElement(CLASS_DIVIDER, "polyline", [[x_edge, -10.0], [x_edge, 10.0]]),
+        # a repeated vertex gives a zero-length segment; one leg runs on the
+        # other tile edge, one through a row of cell centres
+        MapElement(CLASS_BOUNDARY, "polyline",
+                   [[-20.0, 12.0], [-20.0, 12.0], [-20.0, y_edge], [x_centre, y_edge],
+                    [x_centre, -14.0]]),
+    ]  # no crossing: an empty class
+    scene = Scene(ext, elements, 0)
+    got = class_distance_channels(scene, truncation)
+    assert got.tobytes() == _dense_distance_channels(scene, truncation).tobytes()
+    assert np.all(got[1] == truncation)
+    if truncation == 3.0:
+        assert (got[0] < truncation).any() and (got[0] == truncation).any()
+
+
+BENCH_SCENES = SceneConfig(
+    n_points=20, divider_count=(3, 3), crossing_count=(2, 2), boundary_count=(2, 2),
+    divider_lanes=3, crossing_slots=2,
+)
+
+
+@pytest.mark.parametrize("seed", [7000, 7001, 7002, 7003])
+def test_tiled_distance_channels_equal_dense_on_bench_scenes(seed):
+    scene = generate_scene(BENCH_SCENES, seed)
+    got = class_distance_channels(scene, 3.0)
+    assert got.tobytes() == _dense_distance_channels(scene, 3.0).tobytes()
+    # cells both inside and outside the truncation radius, in every class
+    assert all((c < 3.0).any() and (c == 3.0).any() for c in got)
+
+
 def test_average_pooling_preserves_mean_even_dims():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 8, 6))
