@@ -233,11 +233,14 @@ def _linear_rows(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return y
 
 
-def _msda_stage(tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaStageParams) -> tuple[Tensor, Tensor]:
+def _msda_stage(
+    tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaStageParams, table: np.ndarray | None = None
+) -> tuple[Tensor, Tensor]:
     """Core deformable attention for one stage.
 
-    tokens (T, C), ref (T, 2) normalized; returns the output (T, C) and the
-    softmax weights (T, Nh, M*N).
+    tokens (T, C), ref (T, 2) normalized; `table` is `ta.level_table` of a
+    pyramid that `levels` begin (built by the sampler when None).  Returns
+    the output (T, C) and the softmax weights (T, Nh, M*N).
     """
     t_n = tokens.shape[0]
     nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
@@ -259,19 +262,15 @@ def _msda_stage(tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaSt
     ref_e = ta.repeat_axis(ta.reshape(ref, (t_n, 1, 1, 2)), axis=1, times=nh)
     ref_e = ta.repeat_axis(ref_e, axis=2, times=n)
 
-    per_level = []
+    pts = []
     for lvl in range(m):
-        grid = levels[lvl]
-        h_l, w_l = grid.shape[1], grid.shape[2]
+        h_l, w_l = levels[lvl].shape[1], levels[lvl].shape[2]
         off_l = ta.reshape(ta.slice_axis(off, axis=2, start=lvl, stop=lvl + 1), (t_n, nh, n, 2))
         cell = Tensor(np.broadcast_to(np.array([1.0 / h_l, 1.0 / w_l]), (t_n, nh, n, 2)).copy())
-        pts = ta.add(ref_e, ta.multiply(off_l, cell))
-        sampled = ta.bilinear_sample(grid, ta.reshape(pts, (t_n * nh * n, 2)))  # (T*Nh*N, C)
-        per_level.append(ta.reshape(sampled, (t_n, nh, 1, n, c)))
-    samples = per_level[0] if m == 1 else ta.concat(per_level, axis=2)  # (T, Nh, M, N, C)
+        pts.append(ta.add(ref_e, ta.multiply(off_l, cell)))
+    s_h = ta.sample_levels(levels, pts, table)  # (Nh, T*M*N, C), head-major
 
     # per-head value projection: (Nh, T*M*N, C) @ (Nh, C, D)
-    s_h = ta.reshape(ta.transpose(samples, (1, 0, 2, 3, 4)), (nh, t_n * m * n, c))
     v = ta.reshape(ta.matmul(s_h, stage.val_w), (nh, t_n, m * n, head_dim))
     # weighted sum over the (level, point) group via batched matmul
     w_h = ta.reshape(ta.transpose(weights, (1, 0, 2, 3)), (nh, t_n, 1, m * n))
@@ -281,10 +280,15 @@ def _msda_stage(tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaSt
 
 
 def _dmd(tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Scale then sample: the output and the weights of both stages."""
-    out_ms, w_ms = _msda_stage(tokens, levels, ref, params.stage_ms)
+    """Scale then sample: the output and the weights of both stages.
+
+    Both stages read one channel-last table; the multi-sample stage uses
+    level 0's rows, which lead it.
+    """
+    table = ta.level_table(levels)
+    out_ms, w_ms = _msda_stage(tokens, levels, ref, params.stage_ms, table)
     q1 = _linear_rows(out_ms, params.lin1_w, params.lin1_b)
-    out_sp, w_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp)
+    out_sp, w_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp, table)
     return ta.add(q1, _linear_rows(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
 
 
@@ -319,16 +323,6 @@ def count_samples(variant: str, num_levels: int, num_points: int) -> int:
     if variant == VARIANT_SCALE_THEN_SAMPLE:
         return num_levels + num_points
     raise ContractViolation(f"count_samples: unknown variant {variant!r}")
-
-
-def attention_weight_groups(params: MsdaParams, tokens: Tensor, pyramid, ref: Tensor) -> list[np.ndarray]:
-    """Softmax-normalized weight groups per stage, each (T, Nh, group); for checks."""
-    levels = _as_level_tensors(pyramid)
-    if params.variant == VARIANT_VANILLA:
-        weights = [_msda_stage(tokens, levels, ref, params.stage)[1]]
-    else:
-        weights = _dmd(tokens, levels, ref, params)[1:]
-    return [w.values for w in weights]
 
 
 # --------------------------------------------------------------------------

@@ -98,11 +98,6 @@ def _average_precision(flags: list[bool], num_gt: int) -> float:
     return float(ap)
 
 
-def ap_at_threshold(preds: list[Prediction], gts: list[MapElement], tau: float) -> float:
-    """AP for one class in one pooled pool (single scene); inputs must be class-homogeneous."""
-    return _ap_pooled([preds], [gts], tau)[0]
-
-
 def _ap_pooled(
     preds_per_scene: list[list[Prediction]],
     gts_per_scene: list[list[MapElement]],

@@ -48,6 +48,8 @@ __all__ = [
     "reduce_mean",
     "scale",
     "bilinear_sample",
+    "level_table",
+    "sample_levels",
     "squared_hinge",
     "reshape",
     "transpose",
@@ -714,11 +716,14 @@ _register("power", _fwd_power, _bwd_power)
 
 
 # --------------------------------------------------------------------------
-# Bilinear sampling (align-corners-false, zero padding outside the grid)
+# Multi-level bilinear sampling (align-corners-false, zero padding outside
+# the grid)
 #
-# The kernel is a sparse blend operator: a K x h*w CSR matrix holding each
-# sample's four corner weights, applied to a channel-last (h*w, C) copy of
-# the grid.  Every summation order is pinned on purpose and matches the
+# The kernel is a sparse blend operator: one CSR matrix holding each
+# sample's four corner weights, applied to a single channel-last table that
+# stacks every level's (h*w, C) rows.  Its rows come out head-major, the
+# layout the per-head value projection reads, so no sample is copied after
+# it is blended.  Every summation order is pinned on purpose and matches the
 # dense gather / einsum / `ufunc.at` scatter formulation bit for bit
 # (tests/test_tensorad.py keeps it as the reference): training is chaotic
 # in rounding, so a reordered sum grows into a different model within a
@@ -752,39 +757,81 @@ def _bilinear_pieces(grid: np.ndarray, pts: np.ndarray):
     return lin, valid, weights, fi, fj
 
 
-def _fwd_bilinear(ins, p):
-    grid, pts = ins
-    _require(grid.ndim == 3, f"bilinear_sample: grid must be C x h x w, got {grid.shape}")
-    _require(pts.ndim == 2 and pts.shape[1] == 2, f"bilinear_sample: pts must be K x 2, got {pts.shape}")
-    c, h, w = grid.shape
-    k = pts.shape[0]
-    lin, valid, weights, fi, fj = _bilinear_pieces(grid, pts)
-    table = np.ascontiguousarray(grid.reshape(c, h * w).T)  # (h*w, C), channel-last
-    # row k holds its four corners in corner order; explicit zeros and clipped
+def _check_levels(levels: Sequence[np.ndarray]) -> None:
+    _require(len(levels) >= 1, "sample_levels: needs at least one level")
+    for lv in levels:
+        _require(lv.ndim == 3, f"sample_levels: levels must be C x h x w, got {lv.shape}")
+        _require(lv.shape[0] == levels[0].shape[0],
+                 f"sample_levels: levels differ in channels, {[x.shape for x in levels]}")
+
+
+def _stack_channel_last(levels: Sequence[np.ndarray]) -> np.ndarray:
+    # filled level by level: `np.concatenate` of the transposed views would
+    # come out column-major, and the CSR product would copy it on every call
+    sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
+    table = np.empty((sum(sizes), levels[0].shape[0]))
+    for lv, start, size in zip(levels, np.cumsum([0] + sizes[:-1]), sizes):
+        table[start : start + size] = lv.reshape(lv.shape[0], -1).T
+    return table
+
+
+def _fwd_sample_levels(ins, p):
+    m = p["num_levels"]
+    levels, pts = ins[:m], ins[m:]
+    _check_levels(levels)
+    _require(len(pts) == m, f"sample_levels: {m} levels but {len(pts)} point tensors")
+    for x in pts:
+        _require(x.ndim == 4 and x.shape[-1] == 2, f"sample_levels: points must be T x Nh x N x 2, got {x.shape}")
+        _require(x.shape[:-1] == pts[0].shape[:-1],
+                 f"sample_levels: point tensors differ in leading shape, {[x.shape for x in pts]}")
+    t, nh, n = pts[0].shape[:-1]
+    c = levels[0].shape[0]
+    sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
+    table = _stack_channel_last(levels) if p["table"] is None else p["table"]
+    _require(table.shape[0] >= sum(sizes) and table.shape[1:] == (c,),
+             f"sample_levels: table {table.shape} does not hold {sum(sizes)} rows of {c} channels")
+    table = table[: sum(sizes)]
+    offsets = np.cumsum([0] + sizes[:-1])
+    pieces = [_bilinear_pieces(lv, x.reshape(-1, 2)) for lv, x in zip(levels, pts)]
+
+    def head_major(per_level):
+        """(4, T*Nh*N) per level -> flat, in (head, query, level, point, corner) order."""
+        return np.stack([a.T.reshape(t, nh, n, 4) for a in per_level], axis=2).transpose(1, 0, 2, 3, 4).ravel()
+
+    # row r holds its four corners in corner order; explicit zeros and clipped
     # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
-    blend = sp.csr_array((weights.T.ravel(), lin.T.ravel(), np.arange(0, 4 * k + 1, 4)), shape=(k, h * w))
-    return blend @ table, (grid.shape, table, lin, valid, weights, fi, fj)
+    rows = nh * t * m * n
+    cols = head_major([pc[0] + off for pc, off in zip(pieces, offsets)])
+    blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * rows + 1, 4)),
+                         shape=(rows, table.shape[0]))
+    out = (blend @ table).reshape(nh, t * m * n, c)
+    return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces)
 
 
-def _bwd_bilinear(node, g):
-    shape, table, lin, valid, weights, fi, fj = node.ctx
-    c, h, w = shape
-    # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
-    # major then by sample; out-of-bounds corners carry weight 0, so their
-    # clipped scatter adds zero
-    g_flat = _scatter_rows(lin.ravel(), np.tile(g, (4, 1)), h * w, weights.ravel())
-    g_grid = g_flat.T.reshape(c, h, w)
-    # point gradient: derivative of the blend weights wrt the fractional offsets;
-    # out-of-bounds corners contribute zero, so mask their value dot products
-    dots = np.stack([np.einsum("kc,kc->k", table[lin_f], g) for lin_f in lin]) * valid  # (4, K)
-    v00, v01, v10, v11 = dots
-    d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
-    d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
-    g_pts = np.stack([d_fi * h, d_fj * w], axis=1)
-    return [g_grid, g_pts]
+def _bwd_sample_levels(node, g):
+    (t, nh, n), shapes, table, offsets, pieces = node.ctx
+    g = g.reshape(nh, t, len(shapes), n, -1)
+    g_levels, g_pts = [], []
+    for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
+        # this level's upstream rows, back in (query, head, point) sample order
+        g_l = np.ascontiguousarray(g[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
+        # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
+        # major then by sample; out-of-bounds corners carry weight 0, so their
+        # clipped scatter adds zero
+        g_flat = _scatter_rows(lin.ravel(), np.tile(g_l, (4, 1)), h * w, weights.ravel())
+        g_levels.append(g_flat.T.reshape(c, h, w))
+        # point gradient: derivative of the blend weights wrt the fractional offsets;
+        # out-of-bounds corners contribute zero, so mask their value dot products
+        level_rows = table[off : off + h * w]
+        dots = np.stack([np.einsum("kc,kc->k", level_rows[lin_f], g_l) for lin_f in lin]) * valid  # (4, K)
+        v00, v01, v10, v11 = dots
+        d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
+        d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
+        g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
+    return g_levels + g_pts
 
 
-_register("bilinear_sample", _fwd_bilinear, _bwd_bilinear)
+_register("sample_levels", _fwd_sample_levels, _bwd_sample_levels)
 
 
 # --------------------------------------------------------------------------
@@ -848,9 +895,37 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _apply("scale", [x], {"factor": float(factor)})
 
 
+def level_table(levels: Sequence[Tensor]) -> np.ndarray:
+    """The stacked channel-last rows `sample_levels` blends: (sum of h*w, C).
+
+    Level l's rows follow level l-1's, so this table also serves any prefix
+    of `levels`: build it once and pass it to every `sample_levels` call.
+    """
+    arrays = [lv.values for lv in levels]
+    _check_levels(arrays)
+    return _stack_channel_last(arrays)
+
+
+def sample_levels(levels: Sequence[Tensor], pts: Sequence[Tensor], table: np.ndarray | None = None) -> Tensor:
+    """Bilinearly sample M C x h_l x w_l levels, level l at the normalized
+    (row, col) points pts[l] of shape (T, Nh, N, 2).
+
+    Returns (Nh, T*M*N, C) with rows ordered (head, query, level, point).
+    `table` is `level_table` of `levels` or of a list they begin; it is
+    built here when omitted.
+    """
+    return _apply("sample_levels", [*levels, *pts], {"num_levels": len(levels), "table": table})
+
+
 def bilinear_sample(grid: Tensor, pts: Tensor) -> Tensor:
-    """Sample a C x h x w grid at K normalized (row, col) points -> K x C."""
-    return _apply("bilinear_sample", [grid, pts], {})
+    """Sample a C x h x w grid at K normalized (row, col) points -> K x C.
+
+    The one-level, one-head case of `sample_levels`.
+    """
+    _require(len(pts.shape) == 2 and pts.shape[1] == 2, f"bilinear_sample: pts must be K x 2, got {pts.shape}")
+    k = pts.shape[0]
+    out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))])
+    return reshape(out, (k, out.shape[-1]))
 
 
 def squared_hinge(x: Tensor) -> Tensor:

@@ -7,7 +7,6 @@ from bevmap.attention import (
     ALL_VARIANTS,
     VARIANT_SCALE_THEN_SAMPLE,
     VARIANT_VANILLA,
-    attention_weight_groups,
     count_samples,
     init_msda_params,
     msda,
@@ -16,7 +15,7 @@ from bevmap.attention import (
     sinusoidal_pe,
 )
 from bevmap.decoder import DecoderConfig
-from bevmap.tensorad import ContractViolation, Tensor
+from bevmap.tensorad import ContractViolation, Tape, Tensor
 
 
 def _random_setup(seed=0, queries=5, channels=16, heads=2, levels=2, points=2, grid=8):
@@ -110,8 +109,12 @@ def test_attention_weights_normalized_all_variants():
         for trial in range(5):
             qv = np.random.default_rng(100 + trial).normal(size=q.shape)
             params = init_msda_params(variant, 2, 2, 2, 16, seed=trial)
-            groups = attention_weight_groups(params, Tensor(qv), lv, Tensor(r))
-            for g in groups:
+            levels = [Tensor(x) for x in lv]
+            if variant == VARIANT_VANILLA:
+                groups = [att._msda_stage(Tensor(qv), levels, Tensor(r), params.stage)[1]]
+            else:
+                groups = att._dmd(Tensor(qv), levels, Tensor(r), params)[1:]
+            for g in (w.values for w in groups):
                 assert (g >= 0).all()
                 assert np.abs(g.sum(axis=-1) - 1.0).max() <= 1e-6
 
@@ -154,6 +157,77 @@ def test_permutation_equivariance_over_queries():
         base = msda(Tensor(q), lv, Tensor(r), params).output.values
         permuted = msda(Tensor(q[perm]), lv, Tensor(r[perm]), params).output.values
         assert np.allclose(permuted, base[perm], atol=1e-12)
+
+
+def _per_level_stage(tokens, levels, ref, stage, table=None):
+    """`_msda_stage` as it sampled before the fused sampler: one
+    `bilinear_sample` per level, then concat, a head-major transpose and a
+    reshape into the (Nh, T*M*N, C) rows the value projection reads.  It
+    ignores `table`, which `_dmd` passes."""
+    t_n = tokens.shape[0]
+    nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
+    off = ta.reshape(att._linear_rows(tokens, stage.off_w, stage.off_b), (t_n, nh, m, n, 2))
+    atn = att._linear_rows(tokens, stage.atn_w, stage.atn_b)
+    atn = ta.softmax(ta.reshape(atn, (t_n, nh, m * n)), axis=-1)
+    weights = ta.reshape(atn, (t_n, nh, m, n))
+    ref_e = ta.repeat_axis(ta.reshape(ref, (t_n, 1, 1, 2)), axis=1, times=nh)
+    ref_e = ta.repeat_axis(ref_e, axis=2, times=n)
+    per_level = []
+    for lvl in range(m):
+        grid = levels[lvl]
+        h_l, w_l = grid.shape[1], grid.shape[2]
+        off_l = ta.reshape(ta.slice_axis(off, axis=2, start=lvl, stop=lvl + 1), (t_n, nh, n, 2))
+        cell = Tensor(np.broadcast_to(np.array([1.0 / h_l, 1.0 / w_l]), (t_n, nh, n, 2)).copy())
+        pts = ta.add(ref_e, ta.multiply(off_l, cell))
+        sampled = ta.bilinear_sample(grid, ta.reshape(pts, (t_n * nh * n, 2)))
+        per_level.append(ta.reshape(sampled, (t_n, nh, 1, n, c)))
+    samples = per_level[0] if m == 1 else ta.concat(per_level, axis=2)
+    s_h = ta.reshape(ta.transpose(samples, (1, 0, 2, 3, 4)), (nh, t_n * m * n, c))
+    v = ta.reshape(ta.matmul(s_h, stage.val_w), (nh, t_n, m * n, c // nh))
+    w_h = ta.reshape(ta.transpose(weights, (1, 0, 2, 3)), (nh, t_n, 1, m * n))
+    agg = ta.reshape(ta.matmul(w_h, v), (nh, t_n, c // nh))
+    return ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0), atn
+
+
+def _msda_bytes(variant, heads, m, n, seed):
+    """msda's output and its gradients wrt tokens, ref, each level and each
+    parameter, as bytes, on levels of different shapes and points that fall
+    outside the grid and on every level's last row and column."""
+    rng = np.random.default_rng(seed)
+    c, t_n = 16, 9
+    levels = [rng.normal(size=(c, h, w)) for h, w in [(5, 7), (4, 3), (2, 2)][:m]]
+    tokens = rng.normal(size=(t_n, c))
+    # offsets stay well within a cell (no offset bias, generator sd 0.02), so
+    # ref 1.0 puts a point on each level's last row or column, and refs
+    # outside [0, 1] put corners, or whole samples, outside the grid
+    ref = np.concatenate([[[1.0, 0.5], [0.5, 1.0], [1.0, 1.0], [1.4, -0.3], [-0.02, 0.5]],
+                          rng.uniform(-0.1, 1.1, (t_n - 5, 2))])
+    params = init_msda_params(variant, heads, m, n, c, seed=seed)
+    for stage in (params.stage, params.stage_ms, params.stage_sp):
+        if stage is not None:
+            stage.off_b = Tensor(np.zeros_like(stage.off_b.values))
+    upstream = Tensor(rng.normal(size=(t_n, c)))
+    with Tape() as tape:
+        inputs = [Tensor(tokens), Tensor(ref)] + [Tensor(lv) for lv in levels]
+        out = msda(inputs[0], inputs[2:], inputs[1], params).output
+        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(out, upstream)))
+        leaves = inputs + list(att.named_parameters(params).values())
+        return [out.values.tobytes()] + [grads.of(x).tobytes() for x in leaves]
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 1), (3, 4)])
+@pytest.mark.parametrize("heads", [1, 2, 8])
+def test_fused_sampler_bytes_equal_per_level_chain(monkeypatch, variant, m, n, heads):
+    seed = 100 * m + 10 * n + heads
+    fused = _msda_bytes(variant, heads, m, n, seed)
+    monkeypatch.setattr(att, "_msda_stage", _per_level_stage)
+    chain = _msda_bytes(variant, heads, m, n, seed)
+    names = ["output", "tokens", "ref"] + [f"level {i}" for i in range(m)] + list(
+        att.named_parameters(init_msda_params(variant, heads, m, n, 16, seed=0)))
+    assert len(fused) == len(chain) == len(names)
+    for name, a, b in zip(names, fused, chain):
+        assert a == b, name
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from bevmap.evaluate import (
     CHAMFER_THRESHOLDS,
     EvalReport,
     Prediction,
-    ap_at_threshold,
+    _ap_pooled,
     evaluate,
     predictions_from_output,
     report_to_csv_rows,
@@ -73,15 +73,15 @@ def _oracle_ap(preds, gts, tau):
 def test_single_tp_full_ap():
     gt = [_line(0.0)]
     pred = [Prediction(_line(0.4), 0.9)]  # chamfer 0.4 <= 0.5
-    assert ap_at_threshold(pred, gt, 0.5) == 1.0
+    assert _ap_pooled([pred], [gt], 0.5)[0] == 1.0
 
 
 def test_no_predictions_zero_ap():
-    assert ap_at_threshold([], [_line(0.0)], 0.5) == 0.0
+    assert _ap_pooled([[]], [[_line(0.0)]], 0.5)[0] == 0.0
 
 
 def test_vacuous_case_is_one():
-    assert ap_at_threshold([], [], 0.5) == 1.0
+    assert _ap_pooled([[]], [[]], 0.5)[0] == 1.0
 
 
 def test_random_cases_match_oracle():
@@ -95,7 +95,7 @@ def test_random_cases_match_oracle():
             for _ in range(n_pred)
         ]
         for tau in CHAMFER_THRESHOLDS:
-            assert abs(ap_at_threshold(preds, gts, tau) - _oracle_ap(preds, gts, tau)) < 1e-12
+            assert abs(_ap_pooled([preds], [gts], tau)[0] - _oracle_ap(preds, gts, tau)) < 1e-12
 
 
 def test_mixed_three_pred_two_gt_case():
@@ -106,7 +106,7 @@ def test_mixed_three_pred_two_gt_case():
         Prediction(_line(2.3), 0.7),
     ]
     for tau in CHAMFER_THRESHOLDS:
-        assert abs(ap_at_threshold(preds, gts, tau) - _oracle_ap(preds, gts, tau)) < 1e-12
+        assert abs(_ap_pooled([preds], [gts], tau)[0] - _oracle_ap(preds, gts, tau)) < 1e-12
 
 
 def test_ap_non_increasing_in_strictness():
@@ -114,8 +114,8 @@ def test_ap_non_increasing_in_strictness():
     for _ in range(10):
         gts = [_line(rng.uniform(-4, 4)) for _ in range(3)]
         preds = [Prediction(_line(rng.uniform(-4, 4)), float(rng.uniform(0, 1))) for _ in range(4)]
-        ap_tight = ap_at_threshold(preds, gts, 0.5)
-        ap_loose = ap_at_threshold(preds, gts, 1.5)
+        ap_tight = _ap_pooled([preds], [gts], 0.5)[0]
+        ap_loose = _ap_pooled([preds], [gts], 1.5)[0]
         assert ap_loose >= ap_tight - 1e-12
 
 
@@ -124,7 +124,7 @@ def test_duplicate_prediction_never_raises_ap():
     base = [Prediction(_line(0.2), 0.9), Prediction(_line(3.1), 0.5)]
     dup = [Prediction(_line(0.2), 0.9), Prediction(_line(0.25), 0.7), Prediction(_line(3.1), 0.5)]
     for tau in CHAMFER_THRESHOLDS:
-        assert ap_at_threshold(dup, gts, tau) <= ap_at_threshold(base, gts, tau) + 1e-12
+        assert _ap_pooled([dup], [gts], tau)[0] <= _ap_pooled([base], [gts], tau)[0] + 1e-12
 
 
 def test_confidence_rescaling_invariance():
@@ -133,7 +133,7 @@ def test_confidence_rescaling_invariance():
     preds = [Prediction(_line(rng.uniform(-4, 4)), float(rng.uniform(0.1, 0.9))) for _ in range(5)]
     scaled = [Prediction(p.element, p.score * 0.5) for p in preds]
     for tau in CHAMFER_THRESHOLDS:
-        assert ap_at_threshold(preds, gts, tau) == ap_at_threshold(scaled, gts, tau)
+        assert _ap_pooled([preds], [gts], tau)[0] == _ap_pooled([scaled], [gts], tau)[0]
 
 
 # --------------------------------------------------------------------------

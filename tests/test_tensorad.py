@@ -250,10 +250,15 @@ def _case_scale(rng):
     return lambda v: ta.reduce_sum(ta.multiply(ta.scale(v, -2.5), ta.scale(v, -2.5))), [x]
 
 
-def _case_bilinear(rng):
-    grid = rng.normal(size=(2, 5, 4))
-    pts = rng.uniform(0.05, 0.95, size=(6, 2))
-    return lambda g, p: ta.reduce_sum(ta.multiply(ta.bilinear_sample(g, p), ta.bilinear_sample(g, p))), [grid, pts]
+def _case_sample_levels(rng):
+    levels = [rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 3, 2))]
+    pts = [rng.uniform(0.05, 0.95, size=(2, 2, 1, 2)) for _ in levels]  # 2 queries x 2 heads x 1 point
+
+    def fn(l0, l1, p0, p1):
+        out = ta.sample_levels([l0, l1], [p0, p1])
+        return ta.reduce_sum(ta.multiply(out, out))
+
+    return fn, levels + pts
 
 
 def _case_squared_hinge(rng):
@@ -340,7 +345,6 @@ _PRIMITIVE_CASES = {
     "reduce_sum": _case_reduce_sum,
     "reduce_mean": _case_reduce_mean,
     "scale": _case_scale,
-    "bilinear_sample": _case_bilinear,
     "squared_hinge": _case_squared_hinge,
     "reshape": _case_reshape,
     "transpose": _case_transpose,
@@ -354,6 +358,7 @@ _PRIMITIVE_CASES = {
     "power": _case_power,
     "add_rows": _case_add_rows,
     "scale_rows": _case_scale_rows,
+    "sample_levels": _case_sample_levels,
 }
 
 
@@ -443,6 +448,26 @@ def test_bilinear_matches_dense_reference_bytes(c, h, w, k):
     # many samples share each cell, so the scatter order is visible in the bytes
     sample_major = _dense_bilinear(grid, pts, g, corner_major=False)[1]
     assert sample_major.tobytes() != want[1].tobytes()
+
+
+@pytest.mark.parametrize("level_shapes,pts_shapes,match", [
+    ([(2, 4, 4), (3, 2, 2)], [(1, 1, 1, 2)] * 2, "levels differ in channels"),
+    ([(2, 4)], [(1, 1, 1, 2)], "levels must be C x h x w"),
+    ([(2, 4, 4), (2, 2, 2)], [(1, 1, 1, 2), (1, 2, 1, 2)], "differ in leading shape"),
+    ([(2, 4, 4)], [(1, 1, 1, 3)], "points must be T x Nh x N x 2"),
+])
+def test_sample_levels_contract_violations(level_shapes, pts_shapes, match):
+    levels = [Tensor(np.zeros(s)) for s in level_shapes]
+    pts = [Tensor(np.zeros(s)) for s in pts_shapes]
+    with pytest.raises(ContractViolation, match=match) as err:
+        ta.sample_levels(levels, pts)
+    assert "\n" not in str(err.value)
+
+
+def test_sample_levels_refuses_a_table_too_short_for_its_levels():
+    level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 1, 1, 2)))
+    with pytest.raises(ContractViolation, match="does not hold 16 rows of 2 channels"):
+        ta.sample_levels([level], [pts], table=np.zeros((15, 2)))
 
 
 @pytest.mark.parametrize("shape,axis", [((6, 5), 0), ((3, 6, 4), 1)])
