@@ -268,10 +268,8 @@ def _msda_stage(
         off_l = ta.reshape(ta.slice_axis(off, axis=2, start=lvl, stop=lvl + 1), (t_n, nh, n, 2))
         cell = Tensor(np.broadcast_to(np.array([1.0 / h_l, 1.0 / w_l]), (t_n, nh, n, 2)).copy())
         pts.append(ta.add(ref_e, ta.multiply(off_l, cell)))
-    s_h = ta.sample_levels(levels, pts, table)  # (Nh, T*M*N, C), head-major
-
-    # per-head value projection: (Nh, T*M*N, C) @ (Nh, C, D)
-    v = ta.reshape(ta.matmul(s_h, stage.val_w), (nh, t_n, m * n, head_dim))
+    # samples projected per head: (Nh, T*M*N, D), head-major
+    v = ta.reshape(ta.sample_levels(levels, pts, stage.val_w, table), (nh, t_n, m * n, head_dim))
     # weighted sum over the (level, point) group via batched matmul
     w_h = ta.reshape(ta.transpose(weights, (1, 0, 2, 3)), (nh, t_n, 1, m * n))
     agg = ta.reshape(ta.matmul(w_h, v), (nh, t_n, head_dim))
@@ -279,39 +277,48 @@ def _msda_stage(
     return out, atn
 
 
-def _dmd(tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams) -> tuple[Tensor, Tensor, Tensor]:
+def _dmd(
+    tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
+) -> tuple[Tensor, Tensor, Tensor]:
     """Scale then sample: the output and the weights of both stages.
 
-    Both stages read one channel-last table; the multi-sample stage uses
-    level 0's rows, which lead it.
+    Both stages read one channel-last table (`ta.level_table` of `levels`,
+    built here when None); the multi-sample stage uses level 0's rows, which
+    lead it.
     """
-    table = ta.level_table(levels)
+    table = ta.level_table(levels) if table is None else table
     out_ms, w_ms = _msda_stage(tokens, levels, ref, params.stage_ms, table)
     q1 = _linear_rows(out_ms, params.lin1_w, params.lin1_b)
     out_sp, w_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp, table)
     return ta.add(q1, _linear_rows(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
 
 
-def msda_vanilla(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams) -> SampledValue:
+def msda_vanilla(
+    tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
+) -> SampledValue:
     """Vanilla multi-scale deformable attention: M*N samples per query per head."""
     if params.variant != VARIANT_VANILLA:
         raise ContractViolation(f"msda_vanilla called with variant {params.variant!r}")
-    out, _ = _msda_stage(tokens, _as_level_tensors(pyramid), ref, params.stage)
+    out, _ = _msda_stage(tokens, _as_level_tensors(pyramid), ref, params.stage, table)
     return SampledValue(out, count_samples(params.variant, params.num_levels, params.num_points))
 
 
-def msda_dmd(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams) -> SampledValue:
+def msda_dmd(
+    tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
+) -> SampledValue:
     """Decoupled deformable attention: M+N samples per query per head."""
     if params.variant != VARIANT_SCALE_THEN_SAMPLE:
         raise ContractViolation(f"msda_dmd called with variant {params.variant!r}")
-    out, _, _ = _dmd(tokens, _as_level_tensors(pyramid), ref, params)
+    out, _, _ = _dmd(tokens, _as_level_tensors(pyramid), ref, params, table)
     return SampledValue(out, count_samples(params.variant, params.num_levels, params.num_points))
 
 
-def msda(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams) -> SampledValue:
+def msda(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams, table: np.ndarray | None = None) -> SampledValue:
+    """Cross-attention of `params.variant`.  `table` is `ta.level_table(pyramid)`;
+    a caller that attends into one pyramid many times builds it once."""
     if params.variant == VARIANT_VANILLA:
-        return msda_vanilla(tokens, pyramid, ref, params)
-    return msda_dmd(tokens, pyramid, ref, params)
+        return msda_vanilla(tokens, pyramid, ref, params, table)
+    return msda_dmd(tokens, pyramid, ref, params, table)
 
 
 def count_samples(variant: str, num_levels: int, num_points: int) -> int:

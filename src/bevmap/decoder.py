@@ -269,6 +269,7 @@ def decoder_layer(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     layer: int,
+    table: np.ndarray | None = None,
 ) -> LayerOutput:
     p = f"layers.{layer}"
     n_i, n_p, c = query_state.shape
@@ -300,7 +301,7 @@ def decoder_layer(
     cross_params = params_from_named(
         params, f"{p}.cross.", cfg.variant, cfg.n_heads, cfg.num_levels, cfg.num_points_attn, cfg.channels
     )
-    cross = msda(tokens, pyramid_levels, ref_flat, cross_params)
+    cross = msda(tokens, pyramid_levels, ref_flat, cross_params, table)
     cross_out = ta.reshape(cross.output, (n_i, n_p, c))
     q = _ln_affine(ta.add(q, cross_out), params[f"{p}.cross_ln_g"], params[f"{p}.cross_ln_b"])
     _check_finite("cross-attention", q)
@@ -343,9 +344,10 @@ def forward(
     """
     reference = init_reference_points(bank, cfg, params)
     q = assemble_queries(params["q_ins"], params["q_pts"])
+    table = ta.level_table(pyramid_levels)  # every layer's cross-attention reads it
     outputs: list[LayerOutput] = []
     for layer in range(cfg.n_layers):
-        out = decoder_layer(q, reference, pyramid_levels, params, cfg, layer)
+        out = decoder_layer(q, reference, pyramid_levels, params, cfg, layer, table)
         outputs.append(out)
         q = out.query_state
         if frozen_references is not None and layer < cfg.n_layers - 1:

@@ -143,7 +143,6 @@ def total_loss(
     embeddings: Tensor | None,
     mask: InstanceMask | None,
     cfg: LossConfig,
-    cost_cfg: CostConfig | None = None,
     assignments: list[Assignment] | None = None,
 ) -> tuple[Tensor, dict[str, float], list[Assignment]]:
     """Sum of per-layer detection losses plus the discriminative term.
@@ -151,13 +150,13 @@ def total_loss(
     Assignments are recomputed per layer from the current predictions unless
     supplied.  Returns (loss, per-term breakdown, per-layer assignments).
     """
-    cost_cfg = cost_cfg or CostConfig(
-        lambda_cls=cfg.lambda_cls,
-        lambda_pts=cfg.lambda_pts,
-        focal_alpha=cfg.focal_alpha,
-        focal_gamma=cfg.focal_gamma,
-    )
     if assignments is None:
+        cost_cfg = CostConfig(
+            lambda_cls=cfg.lambda_cls,
+            lambda_pts=cfg.lambda_pts,
+            focal_alpha=cfg.focal_alpha,
+            focal_gamma=cfg.focal_gamma,
+        )
         assignments = [
             match_layer(out.class_logits.values, out.point_coords.values, gts, cost_cfg)
             for out in layer_outputs

@@ -17,7 +17,9 @@ differences.
 from __future__ import annotations
 
 import math
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -377,12 +379,11 @@ def _fwd_matmul(ins, p):
     return a @ b, (a, b)
 
 
-def _bwd_matmul(node, g):
-    a, b = node.ctx
+def _matmul_grads(a, b, g):
     return [g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g]
 
 
-_register("matmul", _fwd_matmul, _bwd_matmul)
+_register("matmul", _fwd_matmul, lambda node, g: _matmul_grads(*node.ctx, g))
 
 
 def _fwd_softmax(ins, p):
@@ -623,16 +624,23 @@ def _fwd_gather(ins, p):
 
 
 def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """Sum weights[r] * src[r] into row rows[r] of an (n_rows, C) zero array.
+    """Sum weights[r] * src[r % len(src)] into row rows[r] of an (n_rows, C) zero array.
 
-    The sum runs in increasing r, the order of numpy's unbuffered `ufunc.at`
-    scatter, so results match it bit for bit: the transpose of a
-    one-nonzero-per-row CSR matrix is applied column by column.
+    Each row sums in increasing r, the order of numpy's unbuffered `ufunc.at`
+    scatter, so results match it bit for bit: a stable sort on `rows` lays
+    out an (n_rows, len(src)) CSR matrix whose row i lists, in that order,
+    the entries that land in row i.
     """
-    n = rows.size
-    data = np.ones(n) if weights is None else weights
-    spread = sp.csr_array((data, rows, np.arange(n + 1)), shape=(n, n_rows))
-    return spread.T @ src
+    # numpy sorts 16-bit keys stably by radix and wider ones by timsort, which
+    # is ~6x slower on sampler rows; so sort by the low 16 bits, then the rest
+    order = np.argsort(rows.astype(np.uint16), kind="stable")
+    if n_rows > 1 << 16:
+        order = order[np.argsort((rows[order] >> 16).astype(np.uint16), kind="stable")]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    data = np.ones(rows.size) if weights is None else weights[order]
+    spread = sp.csr_array((data, order % len(src), indptr), shape=(n_rows, len(src)))
+    return spread @ src
 
 
 def _bwd_gather(node, g):
@@ -716,19 +724,31 @@ _register("power", _fwd_power, _bwd_power)
 
 
 # --------------------------------------------------------------------------
-# Multi-level bilinear sampling (align-corners-false, zero padding outside
-# the grid)
+# Multi-level bilinear sampling with a per-head value projection
+# (align-corners-false, zero padding outside the grid)
 #
 # The kernel is a sparse blend operator: one CSR matrix holding each
 # sample's four corner weights, applied to a single channel-last table that
-# stacks every level's (h*w, C) rows.  Its rows come out head-major, the
-# layout the per-head value projection reads, so no sample is copied after
-# it is blended.  Every summation order is pinned on purpose and matches the
-# dense gather / einsum / `ufunc.at` scatter formulation bit for bit
-# (tests/test_tensorad.py keeps it as the reference): training is chaotic
-# in rounding, so a reordered sum grows into a different model within a
-# few dozen steps.
+# stacks every level's (h*w, C) rows.  Its rows come out head-major, so head
+# h's samples are one block of rows that its (C, D) value projection reads
+# as is.  Every summation order is pinned on purpose and matches the dense
+# gather / einsum / `ufunc.at` scatter formulation, followed by numpy's
+# batched matmul, bit for bit (tests/test_tensorad.py keeps the sampler's
+# reference): training is chaotic in rounding, so a reordered sum grows
+# into a different model within a few dozen steps.
+#
+# A call of at least _PARALLEL_VALUES sampled values (Nh*T*M*N*C) runs head
+# by head on a pool of one thread per usable CPU; numpy, scipy's sparse
+# product and BLAS release the GIL.  A head's block is the same row products
+# and the same dgemm as the one-thread path, so the bytes do not depend on
+# the path.  Smaller calls (the C=32 training shapes make at most ~1.0 M
+# values) stay on the calling thread, where hand-offs cost more than they
+# save.  This module is the only one in the package that starts threads.
 # --------------------------------------------------------------------------
+
+_PARALLEL_VALUES = 2**21
+_WORKERS = len(os.sched_getaffinity(0))
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="bevmap")  # threads start with the first large call
 
 
 def _bilinear_pieces(grid: np.ndarray, pts: np.ndarray):
@@ -767,17 +787,28 @@ def _check_levels(levels: Sequence[np.ndarray]) -> None:
 
 def _stack_channel_last(levels: Sequence[np.ndarray]) -> np.ndarray:
     # filled level by level: `np.concatenate` of the transposed views would
-    # come out column-major, and the CSR product would copy it on every call
+    # come out column-major, and the CSR product would copy it on every call;
+    # a large table is filled in one row span per pool thread and level
+    c = levels[0].shape[0]
     sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
-    table = np.empty((sum(sizes), levels[0].shape[0]))
+    table = np.empty((sum(sizes), c))
+    parts = _WORKERS if table.size >= _PARALLEL_VALUES else 1
+    spans = []
     for lv, start, size in zip(levels, np.cumsum([0] + sizes[:-1]), sizes):
-        table[start : start + size] = lv.reshape(lv.shape[0], -1).T
+        cuts = np.linspace(0, size, parts + 1).astype(np.int64)
+        spans += [(lv.reshape(c, -1), start, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def copy(span):
+        flat, start, a, b = span
+        table[start + a : start + b] = flat[:, a:b].T
+
+    list((map if parts == 1 else _POOL.map)(copy, spans))
     return table
 
 
 def _fwd_sample_levels(ins, p):
     m = p["num_levels"]
-    levels, pts = ins[:m], ins[m:]
+    levels, pts, val_w = ins[:m], ins[m : 2 * m], ins[2 * m]
     _check_levels(levels)
     _require(len(pts) == m, f"sample_levels: {m} levels but {len(pts)} point tensors")
     for x in pts:
@@ -786,6 +817,8 @@ def _fwd_sample_levels(ins, p):
                  f"sample_levels: point tensors differ in leading shape, {[x.shape for x in pts]}")
     t, nh, n = pts[0].shape[:-1]
     c = levels[0].shape[0]
+    _require(val_w.ndim == 3 and val_w.shape[:2] == (nh, c),
+             f"sample_levels: val_w must be Nh x C x D with Nh={nh}, C={c}, got {val_w.shape}")
     sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
     table = _stack_channel_last(levels) if p["table"] is None else p["table"]
     _require(table.shape[0] >= sum(sizes) and table.shape[1:] == (c,),
@@ -800,25 +833,41 @@ def _fwd_sample_levels(ins, p):
 
     # row r holds its four corners in corner order; explicit zeros and clipped
     # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
-    rows = nh * t * m * n
+    rows = t * m * n  # per head
     cols = head_major([pc[0] + off for pc, off in zip(pieces, offsets)])
-    blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * rows + 1, 4)),
-                         shape=(rows, table.shape[0]))
-    out = (blend @ table).reshape(nh, t * m * n, c)
-    return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces)
+    blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * nh * rows + 1, 4)),
+                         shape=(nh * rows, table.shape[0]))
+    if nh * rows * c < _PARALLEL_VALUES:
+        s = (blend @ table).reshape(nh, rows, c)
+        out = s @ val_w
+    else:
+        # the backward reads the samples; with no tape recording, a head's
+        # samples live only inside its block
+        s = np.empty((nh, rows, c)) if active_tape() is not None else None
+        out = np.empty((nh, rows, val_w.shape[2]))
+
+        def head(h):
+            s_h = blend[h * rows : (h + 1) * rows] @ table
+            if s is not None:
+                s[h] = s_h
+            np.matmul(s_h, val_w[h], out=out[h])
+
+        list(_POOL.map(head, range(nh)))
+    return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces, s, val_w)
 
 
 def _bwd_sample_levels(node, g):
-    (t, nh, n), shapes, table, offsets, pieces = node.ctx
-    g = g.reshape(nh, t, len(shapes), n, -1)
+    (t, nh, n), shapes, table, offsets, pieces, s, val_w = node.ctx
+    g_s, g_val_w = _matmul_grads(s, val_w, g)
+    g_s = g_s.reshape(nh, t, len(shapes), n, -1)
     g_levels, g_pts = [], []
     for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
         # this level's upstream rows, back in (query, head, point) sample order
-        g_l = np.ascontiguousarray(g[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
+        g_l = np.ascontiguousarray(g_s[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
         # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
         # major then by sample; out-of-bounds corners carry weight 0, so their
         # clipped scatter adds zero
-        g_flat = _scatter_rows(lin.ravel(), np.tile(g_l, (4, 1)), h * w, weights.ravel())
+        g_flat = _scatter_rows(lin.ravel(), g_l, h * w, weights.ravel())
         g_levels.append(g_flat.T.reshape(c, h, w))
         # point gradient: derivative of the blend weights wrt the fractional offsets;
         # out-of-bounds corners contribute zero, so mask their value dot products
@@ -828,7 +877,7 @@ def _bwd_sample_levels(node, g):
         d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
         d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
         g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
-    return g_levels + g_pts
+    return g_levels + g_pts + [g_val_w]
 
 
 _register("sample_levels", _fwd_sample_levels, _bwd_sample_levels)
@@ -895,36 +944,42 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _apply("scale", [x], {"factor": float(factor)})
 
 
-def level_table(levels: Sequence[Tensor]) -> np.ndarray:
+def level_table(levels: Sequence[Tensor | np.ndarray]) -> np.ndarray:
     """The stacked channel-last rows `sample_levels` blends: (sum of h*w, C).
 
     Level l's rows follow level l-1's, so this table also serves any prefix
     of `levels`: build it once and pass it to every `sample_levels` call.
+    A table of at least _PARALLEL_VALUES values is copied on the pool.
     """
-    arrays = [lv.values for lv in levels]
+    arrays = [lv.values if isinstance(lv, Tensor) else np.asarray(lv, dtype=np.float64) for lv in levels]
     _check_levels(arrays)
     return _stack_channel_last(arrays)
 
 
-def sample_levels(levels: Sequence[Tensor], pts: Sequence[Tensor], table: np.ndarray | None = None) -> Tensor:
+def sample_levels(
+    levels: Sequence[Tensor], pts: Sequence[Tensor], val_w: Tensor, table: np.ndarray | None = None
+) -> Tensor:
     """Bilinearly sample M C x h_l x w_l levels, level l at the normalized
-    (row, col) points pts[l] of shape (T, Nh, N, 2).
+    (row, col) points pts[l] of shape (T, Nh, N, 2), and project head h's
+    samples by val_w[h] of shape (C, D).
 
-    Returns (Nh, T*M*N, C) with rows ordered (head, query, level, point).
+    Returns (Nh, T*M*N, D) with rows ordered (head, query, level, point).
     `table` is `level_table` of `levels` or of a list they begin; it is
     built here when omitted.
     """
-    return _apply("sample_levels", [*levels, *pts], {"num_levels": len(levels), "table": table})
+    return _apply("sample_levels", [*levels, *pts, val_w], {"num_levels": len(levels), "table": table})
 
 
 def bilinear_sample(grid: Tensor, pts: Tensor) -> Tensor:
     """Sample a C x h x w grid at K normalized (row, col) points -> K x C.
 
-    The one-level, one-head case of `sample_levels`.
+    The one-level, one-head case of `sample_levels`, projected by the
+    identity, which passes every finite sample and gradient through exactly.
     """
     _require(len(pts.shape) == 2 and pts.shape[1] == 2, f"bilinear_sample: pts must be K x 2, got {pts.shape}")
     k = pts.shape[0]
-    out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))])
+    identity = Tensor(np.eye(grid.shape[0])[None])
+    out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))], identity)
     return reshape(out, (k, out.shape[-1]))
 
 

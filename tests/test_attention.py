@@ -189,10 +189,10 @@ def _per_level_stage(tokens, levels, ref, stage, table=None):
     return ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0), atn
 
 
-def _msda_bytes(variant, heads, m, n, seed):
-    """msda's output and its gradients wrt tokens, ref, each level and each
-    parameter, as bytes, on levels of different shapes and points that fall
-    outside the grid and on every level's last row and column."""
+def _msda_case(variant, heads, m, n, seed):
+    """Tokens, ref, levels, params and an upstream gradient: levels of
+    different shapes and points that fall outside the grid and on every
+    level's last row and column."""
     rng = np.random.default_rng(seed)
     c, t_n = 16, 9
     levels = [rng.normal(size=(c, h, w)) for h, w in [(5, 7), (4, 3), (2, 2)][:m]]
@@ -207,6 +207,13 @@ def _msda_bytes(variant, heads, m, n, seed):
         if stage is not None:
             stage.off_b = Tensor(np.zeros_like(stage.off_b.values))
     upstream = Tensor(rng.normal(size=(t_n, c)))
+    return tokens, ref, levels, params, upstream
+
+
+def _msda_bytes(variant, heads, m, n, seed):
+    """msda's output and its gradients wrt tokens, ref, each level and each
+    parameter, as bytes, on `_msda_case`'s inputs."""
+    tokens, ref, levels, params, upstream = _msda_case(variant, heads, m, n, seed)
     with Tape() as tape:
         inputs = [Tensor(tokens), Tensor(ref)] + [Tensor(lv) for lv in levels]
         out = msda(inputs[0], inputs[2:], inputs[1], params).output
@@ -228,6 +235,54 @@ def test_fused_sampler_bytes_equal_per_level_chain(monkeypatch, variant, m, n, h
     assert len(fused) == len(chain) == len(names)
     for name, a, b in zip(names, fused, chain):
         assert a == b, name
+
+
+class _CountingPool:
+    """Runs on the sampler's pool and counts the calls handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.maps = pool, 0
+
+    def map(self, fn, items):
+        self.maps += 1
+        return self.pool.map(fn, items)
+
+
+def _msda_forward_bytes(variant, heads, m, n, seed):
+    """msda's output with no tape recording, as bytes."""
+    tokens, ref, levels, params, _ = _msda_case(variant, heads, m, n, seed)
+    return msda(Tensor(tokens), levels, Tensor(ref), params).output.values.tobytes()
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 1), (3, 4)])
+@pytest.mark.parametrize("heads", [1, 2, 8])
+def test_pooled_head_blocks_bytes_equal_one_thread_path(monkeypatch, variant, m, n, heads):
+    seed = 100 * m + 10 * n + heads
+    inline = _msda_bytes(variant, heads, m, n, seed)
+    inline_forward = _msda_forward_bytes(variant, heads, m, n, seed)
+    pool = _CountingPool(ta._POOL)
+    monkeypatch.setattr(ta, "_POOL", pool)
+    monkeypatch.setattr(ta, "_PARALLEL_VALUES", 0)  # every call and table goes to the pool
+    pooled = _msda_bytes(variant, heads, m, n, seed)
+    assert pool.maps > 0
+    names = ["output", "tokens", "ref"] + [f"level {i}" for i in range(m)] + list(
+        att.named_parameters(init_msda_params(variant, heads, m, n, 16, seed=0)))
+    assert len(pooled) == len(inline) == len(names)
+    for name, a, b in zip(names, pooled, inline):
+        assert a == b, name
+    assert _msda_forward_bytes(variant, heads, m, n, seed) == inline_forward == inline[0]
+
+
+def test_two_concurrent_pooled_calls_give_equal_bytes(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    args = (VARIANT_VANILLA, 8, 3, 4, 17)
+    inline = _msda_forward_bytes(*args)
+    monkeypatch.setattr(ta, "_PARALLEL_VALUES", 0)
+    with ThreadPoolExecutor(2) as callers:  # forward only: a tape records one thread's ops
+        first, second = callers.map(lambda _: _msda_forward_bytes(*args), range(2))
+    assert first == second == inline
 
 
 # --------------------------------------------------------------------------

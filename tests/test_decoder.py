@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from bevmap import tensorad as ta
+from bevmap.config import RunConfig
 from bevmap.decoder import (
     DecoderConfig,
     LayerOutput,
@@ -303,3 +306,19 @@ def test_end_to_end_gradcheck_tiny_config():
               params["layers.1.cross.ms.off_w"]]
     err = ta.grad_check(loss_for, probes, eps=1e-5)
     assert err <= 1e-4
+
+
+def test_cli_default_decoder_forward_under_a_tape_starts_no_thread(monkeypatch):
+    # C=32 calls stay below the pool's threshold, samples and level table alike
+    class NoPool:
+        def map(self, fn, items):
+            raise AssertionError("a C=32 call went to the pool")
+
+    cfg = RunConfig().decoder_cfg
+    params = init_model_params(cfg, seed=0)
+    levels = _levels(cfg.channels, h=200, w=100, num=cfg.num_levels)
+    monkeypatch.setattr(ta, "_POOL", NoPool())
+    before = threading.active_count()
+    with Tape():
+        forward(params, _bank(cfg.n_prior, cfg.n_points), levels, cfg)
+    assert threading.active_count() == before

@@ -23,3 +23,22 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+_CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def _concurrency_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] in _CONCURRENCY]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] in _CONCURRENCY:
+            found.append(node.module)
+    return found
+
+
+def test_only_tensorad_imports_concurrency():
+    # threads have one owner: the sampler's pool in tensorad
+    found = {path.name: _concurrency_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods and name != "tensorad.py"} == {}

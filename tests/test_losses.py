@@ -207,7 +207,7 @@ def test_total_loss_gradcheck_tiny():
         local["q_ins"] = q_ins
         emb = ta.multiply(adapter_like, adapter_like)  # any differentiable embedding map
         outs = forward(local, bank, levels, cfg, frozen_references=frozen)
-        loss, _, _ = total_loss(outs, gts, emb, mask, CFG, cost_cfg, assignments=fixed_assignments)
+        loss, _, _ = total_loss(outs, gts, emb, mask, CFG, assignments=fixed_assignments)
         return loss
 
     rng = np.random.default_rng(9)

@@ -253,12 +253,13 @@ def _case_scale(rng):
 def _case_sample_levels(rng):
     levels = [rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 3, 2))]
     pts = [rng.uniform(0.05, 0.95, size=(2, 2, 1, 2)) for _ in levels]  # 2 queries x 2 heads x 1 point
+    val_w = rng.normal(size=(2, 2, 3))  # 2 heads, C=2, D=3
 
-    def fn(l0, l1, p0, p1):
-        out = ta.sample_levels([l0, l1], [p0, p1])
+    def fn(l0, l1, p0, p1, vw):
+        out = ta.sample_levels([l0, l1], [p0, p1], vw)
         return ta.reduce_sum(ta.multiply(out, out))
 
-    return fn, levels + pts
+    return fn, levels + pts + [val_w]
 
 
 def _case_squared_hinge(rng):
@@ -459,15 +460,40 @@ def test_bilinear_matches_dense_reference_bytes(c, h, w, k):
 def test_sample_levels_contract_violations(level_shapes, pts_shapes, match):
     levels = [Tensor(np.zeros(s)) for s in level_shapes]
     pts = [Tensor(np.zeros(s)) for s in pts_shapes]
+    val_w = Tensor(np.zeros((pts_shapes[0][1], level_shapes[0][0], 1)))
     with pytest.raises(ContractViolation, match=match) as err:
-        ta.sample_levels(levels, pts)
+        ta.sample_levels(levels, pts, val_w)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("val_w_shape", [(2, 3), (1, 2, 3), (2, 3, 3), (2, 2, 3, 1)])
+def test_sample_levels_refuses_a_val_w_not_heads_by_channels(val_w_shape):
+    level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 1, 2)))  # C=2, 2 heads
+    with pytest.raises(ContractViolation, match="val_w must be Nh x C x D with Nh=2, C=2") as err:
+        ta.sample_levels([level], [pts], Tensor(np.zeros(val_w_shape)))
     assert "\n" not in str(err.value)
 
 
 def test_sample_levels_refuses_a_table_too_short_for_its_levels():
     level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 1, 1, 2)))
     with pytest.raises(ContractViolation, match="does not hold 16 rows of 2 channels"):
-        ta.sample_levels([level], [pts], table=np.zeros((15, 2)))
+        ta.sample_levels([level], [pts], Tensor(np.zeros((1, 2, 2))), table=np.zeros((15, 2)))
+
+
+@pytest.mark.parametrize("n_rows", [7, 1 << 16, (1 << 16) + 9])
+def test_scatter_rows_matches_add_at_bytes(n_rows):
+    # rows that share their low 16 bits (r and r + 2**16) sort apart, and
+    # every row collects several entries, in increasing entry order
+    rng = np.random.default_rng(n_rows)
+    cells = np.unique(np.concatenate([[0, n_rows - 1], rng.integers(0, n_rows, 6)]))
+    cells = np.unique(np.concatenate([cells, cells[cells + (1 << 16) < n_rows] + (1 << 16)]))
+    rows = rng.permutation(np.repeat(cells, 8))
+    src = rng.normal(size=(rows.size // 4, 3))
+    weights = rng.normal(size=rows.size)
+    want = np.zeros((n_rows, 3))
+    np.add.at(want, rows, weights[:, None] * src[np.arange(rows.size) % len(src)])
+    got = ta._scatter_rows(rows, src, n_rows, weights)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape,axis", [((6, 5), 0), ((3, 6, 4), 1)])
