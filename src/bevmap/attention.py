@@ -221,10 +221,6 @@ def params_from_named(
 # --------------------------------------------------------------------------
 
 
-def _as_level_tensors(pyramid) -> list[Tensor]:
-    return [level if isinstance(level, Tensor) else Tensor(level) for level in pyramid]
-
-
 def _linear_rows(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """(T, Cin) @ (Cin, Cout) + bias."""
     y = ta.matmul(x, w)
@@ -293,43 +289,26 @@ def _dmd(
     return ta.add(q1, _linear_rows(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
 
 
-def msda_vanilla(
-    tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
+def msda(
+    tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
 ) -> SampledValue:
-    """Vanilla multi-scale deformable attention: M*N samples per query per head."""
-    if params.variant != VARIANT_VANILLA:
-        raise ContractViolation(f"msda_vanilla called with variant {params.variant!r}")
-    out, _ = _msda_stage(tokens, _as_level_tensors(pyramid), ref, params.stage, table)
-    return SampledValue(out, count_samples(params.variant, params.num_levels, params.num_points))
-
-
-def msda_dmd(
-    tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
-) -> SampledValue:
-    """Decoupled deformable attention: M+N samples per query per head."""
-    if params.variant != VARIANT_SCALE_THEN_SAMPLE:
-        raise ContractViolation(f"msda_dmd called with variant {params.variant!r}")
-    out, _, _ = _dmd(tokens, _as_level_tensors(pyramid), ref, params, table)
-    return SampledValue(out, count_samples(params.variant, params.num_levels, params.num_points))
-
-
-def msda(tokens: Tensor, pyramid, ref: Tensor, params: MsdaParams, table: np.ndarray | None = None) -> SampledValue:
-    """Cross-attention of `params.variant`.  `table` is `ta.level_table(pyramid)`;
-    a caller that attends into one pyramid many times builds it once."""
+    """Cross-attention of `params.variant` into the pyramid `levels`.  `table`
+    is `ta.level_table(levels)`; a caller that attends into one pyramid many
+    times builds it once."""
+    reads = count_samples(params.variant, params.num_levels, params.num_points)
     if params.variant == VARIANT_VANILLA:
-        return msda_vanilla(tokens, pyramid, ref, params, table)
-    return msda_dmd(tokens, pyramid, ref, params, table)
+        out, _ = _msda_stage(tokens, levels, ref, params.stage, table)
+    else:
+        out, _, _ = _dmd(tokens, levels, ref, params, table)
+    return SampledValue(out, reads)
 
 
 def count_samples(variant: str, num_levels: int, num_points: int) -> int:
-    """Feature reads per query per head: M*N for vanilla, M+N for decoupled."""
+    """Feature reads per query per head, summed over the variant's stages:
+    M*N for vanilla, M*1 + 1*N for decoupled."""
     if num_levels < 1 or num_points < 1:
         raise ContractViolation(f"count_samples: M={num_levels}, N={num_points} must be >= 1")
-    if variant == VARIANT_VANILLA:
-        return num_levels * num_points
-    if variant == VARIANT_SCALE_THEN_SAMPLE:
-        return num_levels + num_points
-    raise ContractViolation(f"count_samples: unknown variant {variant!r}")
+    return sum(m * n for _, _, m, n in _stages(variant, num_levels, num_points))
 
 
 # --------------------------------------------------------------------------

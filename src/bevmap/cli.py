@@ -9,13 +9,19 @@ Rerunning a command from its snapshot reproduces the artifacts.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per calling thread, fixed before numpy loads BLAS: the
+# sampler's pool already runs one thread per CPU.  A value the user set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import csv
 import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -350,8 +356,6 @@ def _eval_config(args) -> tuple[RunConfig, Checkpoint]:
         ckpt = load_checkpoint(path)
     except CheckpointError as e:
         raise CliError(str(e)) from e
-    if ckpt.decoder_cfg is None or ckpt.features is None:
-        raise CliError(f"{path}: checkpoint records no decoder or features config")
     model = dataclasses.asdict(ckpt.decoder_cfg)
     pinned = {f"decoder.{k}": v for k, v in model.items() if hasattr(DecoderSection, k)}
     pinned.update({f"features.{k}": v for k, v in ckpt.features.items()})

@@ -66,27 +66,11 @@ class DecoderConfig:
         if self.variant not in ALL_VARIANTS:
             raise ContractViolation(f"unknown attention variant {self.variant!r}")
 
-    @property
-    def n_learnable(self) -> int:
-        return self.n_instances - self.n_prior
-
-
-@dataclass
-class ReferencePointSet:
-    coords: Tensor  # (N_I, N_P, 2) normalized
-    n_prior: int
-
-    @property
-    def origin_flags(self) -> list[str]:
-        n_i = self.coords.shape[0]
-        return ["prior" if i < self.n_prior else "learnable" for i in range(n_i)]
-
 
 @dataclass
 class LayerOutput:
     class_logits: Tensor  # (N_I, n_classes)
     point_coords: Tensor  # (N_I, N_P, 2) normalized; also the refined references
-    refined_reference: ReferencePointSet
     query_state: Tensor  # (N_I, N_P, C)
 
 
@@ -99,7 +83,6 @@ def init_model_params(
     cfg: DecoderConfig,
     seed: int,
     init_sd: float = 0.02,
-    zero_init_regression: bool = True,
 ) -> dict[str, Tensor]:
     """Model parameters as a flat name -> Tensor map.
 
@@ -151,7 +134,7 @@ def init_model_params(
         linear(f"{p}.cls1", c, cfg.head_hidden)
         linear(f"{p}.cls2", cfg.head_hidden, cfg.n_classes)
         linear(f"{p}.reg1", c, cfg.head_hidden)
-        linear(f"{p}.reg2", cfg.head_hidden, 2, zero=zero_init_regression)
+        linear(f"{p}.reg2", cfg.head_hidden, 2, zero=True)
     return params
 
 
@@ -177,9 +160,10 @@ def init_reference_points(
     bank: PriorBank | None,
     cfg: DecoderConfig,
     params: dict[str, Tensor],
-) -> ReferencePointSet:
-    """Layer-0 reference points: bank shapes verbatim for the prior instances
-    (constants, no gradient), sigmoid of learnable logits for the rest."""
+) -> Tensor:
+    """Layer-0 reference points, (N_I, N_P, 2) normalized: bank shapes verbatim
+    for the first n_prior instances (constants, no gradient), sigmoid of
+    learnable logits for the rest."""
     n_prior = cfg.n_prior if bank is not None else 0
     if n_prior > 0:
         if bank.n_pri < n_prior:
@@ -198,10 +182,9 @@ def init_reference_points(
     if n_prior == 0:
         if cfg.n_prior != 0:
             raise ContractViolation("decoder configured with priors but no bank supplied")
-        return ReferencePointSet(learnable, 0)
+        return learnable
     prior = Tensor(np.stack([bank.priors[i].points for i in range(n_prior)]))
-    coords = ta.concat([prior, learnable], axis=0)
-    return ReferencePointSet(coords, n_prior)
+    return ta.concat([prior, learnable], axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -264,8 +247,8 @@ def _check_finite(stage: str, x: Tensor) -> None:
 
 def decoder_layer(
     query_state: Tensor,
-    reference: ReferencePointSet,
-    pyramid_levels,
+    ref: Tensor,
+    pyramid_levels: list[Tensor],
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     layer: int,
@@ -273,9 +256,8 @@ def decoder_layer(
 ) -> LayerOutput:
     p = f"layers.{layer}"
     n_i, n_p, c = query_state.shape
-    r = reference.coords
 
-    q_pos = _linear_nd(sinusoidal_pe(r, c), params[f"{p}.pe.w"], params[f"{p}.pe.b"])
+    q_pos = _linear_nd(sinusoidal_pe(ref, c), params[f"{p}.pe.w"], params[f"{p}.pe.b"])
     _check_finite("query position embedding", q_pos)
     q = query_state
 
@@ -297,7 +279,7 @@ def decoder_layer(
     # deformable cross-attention into the BEV pyramid, one reference per point
     qp = ta.add(q, q_pos)
     tokens = ta.reshape(qp, (n_i * n_p, c))
-    ref_flat = ta.reshape(r, (n_i * n_p, 2))
+    ref_flat = ta.reshape(ref, (n_i * n_p, 2))
     cross_params = params_from_named(
         params, f"{p}.cross.", cfg.variant, cfg.n_heads, cfg.num_levels, cfg.num_points_attn, cfg.channels
     )
@@ -317,21 +299,16 @@ def decoder_layer(
 
     reg_hidden = ta.relu(_linear_nd(q, params[f"{p}.reg1.w"], params[f"{p}.reg1.b"]))
     offsets = _linear_nd(reg_hidden, params[f"{p}.reg2.w"], params[f"{p}.reg2.b"])
-    refined = ta.sigmoid(ta.add(ta.inverse_sigmoid(r), offsets))
+    refined = ta.sigmoid(ta.add(ta.inverse_sigmoid(ref), offsets))
     _check_finite("point regression", refined)
 
-    return LayerOutput(
-        class_logits=class_logits,
-        point_coords=refined,
-        refined_reference=ReferencePointSet(refined, reference.n_prior),
-        query_state=q,
-    )
+    return LayerOutput(class_logits=class_logits, point_coords=refined, query_state=q)
 
 
 def forward(
     params: dict[str, Tensor],
     bank: PriorBank | None,
-    pyramid_levels,
+    pyramid_levels: list[Tensor],
     cfg: DecoderConfig,
     frozen_references: list[np.ndarray] | None = None,
 ) -> list[LayerOutput]:
@@ -351,8 +328,7 @@ def forward(
         outputs.append(out)
         q = out.query_state
         if frozen_references is not None and layer < cfg.n_layers - 1:
-            next_ref = Tensor(frozen_references[layer])
+            reference = Tensor(frozen_references[layer])
         else:
-            next_ref = out.point_coords.detach()
-        reference = ReferencePointSet(next_ref, reference.n_prior)
+            reference = out.point_coords.detach()
     return outputs

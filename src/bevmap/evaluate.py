@@ -101,8 +101,9 @@ def _average_precision(flags: list[bool], num_gt: int) -> float:
 def _ap_pooled(
     preds_per_scene: list[list[Prediction]],
     gts_per_scene: list[list[MapElement]],
-    tau: float,
-) -> tuple[float, dict]:
+    thresholds: tuple[float, ...],
+) -> list[tuple[float, dict]]:
+    """(AP, tp/fp/fn counts) at each threshold, from one Chamfer table."""
     flat: list[Prediction] = []
     scenes: list[int] = []
     for s, preds in enumerate(preds_per_scene):
@@ -118,10 +119,13 @@ def _ap_pooled(
         }
         for i in range(len(flat))
     ]
-    flags = _greedy_flags(order, scenes, chamfers, [len(g) for g in gts_per_scene], tau)
-    tp = int(sum(flags))
-    counts = {"tp": tp, "fp": len(flags) - tp, "fn": num_gt - tp}
-    return _average_precision(flags, num_gt), counts
+    gt_counts = [len(g) for g in gts_per_scene]
+    out = []
+    for tau in thresholds:
+        flags = _greedy_flags(order, scenes, chamfers, gt_counts, tau)
+        tp = int(sum(flags))
+        out.append((_average_precision(flags, num_gt), {"tp": tp, "fp": len(flags) - tp, "fn": num_gt - tp}))
+    return out
 
 
 def evaluate(
@@ -141,8 +145,7 @@ def evaluate(
         num_gt = sum(len(g) for g in gts_c)
         aps = {}
         counts = {}
-        for tau in thresholds:
-            ap, cnt = _ap_pooled(preds_c, gts_c, tau)
+        for tau, (ap, cnt) in zip(thresholds, _ap_pooled(preds_c, gts_c, thresholds)):
             aps[tau] = ap
             counts[tau] = cnt
         entry = {

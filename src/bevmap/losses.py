@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .matching import Assignment, CostConfig, GtTarget, match_layer
+from .matching import Assignment, GtTarget, match_layer
 from .synth import InstanceMask
 from .tensorad import Tensor
 
@@ -151,15 +151,8 @@ def total_loss(
     supplied.  Returns (loss, per-term breakdown, per-layer assignments).
     """
     if assignments is None:
-        cost_cfg = CostConfig(
-            lambda_cls=cfg.lambda_cls,
-            lambda_pts=cfg.lambda_pts,
-            focal_alpha=cfg.focal_alpha,
-            focal_gamma=cfg.focal_gamma,
-        )
         assignments = [
-            match_layer(out.class_logits.values, out.point_coords.values, gts, cost_cfg)
-            for out in layer_outputs
+            match_layer(out.class_logits.values, out.point_coords.values, gts, cfg) for out in layer_outputs
         ]
 
     n_queries = layer_outputs[0].class_logits.shape[0]

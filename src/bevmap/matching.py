@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -26,21 +27,12 @@ from scipy.optimize import linear_sum_assignment
 from .geometry import BevExtent, MapElement, equivalent_orderings, normalize
 from .tensorad import stable_sigmoid
 
+if TYPE_CHECKING:  # losses imports this module
+    from .losses import LossConfig
+
 
 class MatchingError(ValueError):
     """Contract violation in matching inputs."""
-
-
-@dataclass
-class CostConfig:
-    lambda_cls: float = 2.0
-    lambda_pts: float = 5.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.lambda_cls < 0 or self.lambda_pts < 0:
-            raise MatchingError("cost weights must be >= 0")
 
 
 @dataclass
@@ -83,7 +75,7 @@ def gt_targets(elements: list[MapElement], extent: BevExtent) -> list[GtTarget]:
 # --------------------------------------------------------------------------
 
 
-def _focal_class_cost(probs: np.ndarray, class_id: int, cfg: CostConfig) -> np.ndarray:
+def _focal_class_cost(probs: np.ndarray, class_id: int, cfg: LossConfig) -> np.ndarray:
     """Focal matching cost of predicting `class_id`, per query; probs (Q, n_cls)."""
     eps = 1e-12
     p = probs[:, class_id]
@@ -96,7 +88,7 @@ def pair_cost_with_ordering(
     pred_logits: np.ndarray,
     pred_points: np.ndarray,
     gt: GtTarget,
-    cfg: CostConfig,
+    cfg: LossConfig,
 ) -> tuple[float, int]:
     """Matching cost of one (query, GT) pair and the GT ordering that attains
     it; points in normalized coordinates."""
@@ -111,7 +103,7 @@ def cost_matrix(
     pred_logits: np.ndarray,  # (Q, n_cls)
     pred_points: np.ndarray,  # (Q, N_p, 2) normalized
     gts: list[GtTarget],
-    cfg: CostConfig,
+    cfg: LossConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full (G, Q) cost matrix plus the argmin ordering per pair."""
     q = pred_points.shape[0]
@@ -225,7 +217,7 @@ def match_layer(
     pred_logits: np.ndarray,
     pred_points: np.ndarray,
     gts: list[GtTarget],
-    cfg: CostConfig,
+    cfg: LossConfig,
 ) -> Assignment:
     """Cost matrix + Hungarian for one decoder layer's predictions."""
     if not gts:

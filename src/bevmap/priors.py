@@ -42,9 +42,7 @@ class BankParseError(ValueError):
 class Cluster:
     centroid: np.ndarray  # (N_p, 2) normalized
     member_count: int
-    dominant_class: int
     dominant_kind: str
-    inertia_contribution: float
 
 
 @dataclass
@@ -176,24 +174,14 @@ def fit_clusters(
 
     n_p = elements[0].n_points
     clusters = []
-    dists, _ = _min_dists(variants, centroids)
     for c in range(k):
         members = np.flatnonzero(labels == c)
-        if members.size:
-            class_ids = np.array([elements[i].class_id for i in members])
-            kinds = np.array([elements[i].kind == KIND_POLYGON for i in members])
-            dominant_class = int(np.bincount(class_ids).argmax())
-            dominant_kind = KIND_POLYGON if kinds.sum() * 2 > kinds.size else KIND_POLYLINE
-            inertia = float(dists[members, c].sum())
-        else:
-            dominant_class, dominant_kind, inertia = 0, KIND_POLYLINE, 0.0
+        polygons = sum(elements[i].kind == KIND_POLYGON for i in members)
         clusters.append(
             Cluster(
                 centroid=centroids[c].reshape(n_p, 2).copy(),
                 member_count=int(members.size),
-                dominant_class=dominant_class,
-                dominant_kind=dominant_kind,
-                inertia_contribution=inertia,
+                dominant_kind=KIND_POLYGON if polygons * 2 > members.size else KIND_POLYLINE,
             )
         )
     return KMeansFit(clusters, labels, history, iterations)

@@ -139,16 +139,15 @@ class Tensor:
 class Node:
     """One tape entry: what its backward reads, not its forward output.
 
-    A leaf keeps its value as `output` (a leaf gradient is shaped like it);
-    an op node keeps its input ids and backward context, and `output` None.
+    An op node keeps its input ids and backward context; a leaf keeps
+    neither, since its gradient is shaped like its tensor.
     """
 
-    __slots__ = ("kind", "inputs", "output", "ctx")
+    __slots__ = ("kind", "inputs", "ctx")
 
-    def __init__(self, kind, inputs, output, ctx):
+    def __init__(self, kind, inputs, ctx):
         self.kind = kind
         self.inputs = inputs  # tuple of node ids, topologically earlier
-        self.output = output
         self.ctx = ctx
 
 
@@ -181,14 +180,14 @@ class Tape:
         if t._tape is self and t._nid is not None:
             return t._nid
         nid = len(self.nodes)
-        self.nodes.append(Node("leaf", (), t.values, ()))
+        self.nodes.append(Node("leaf", (), ()))
         t._tape = self
         t._nid = nid
         return nid
 
     def _record(self, kind, input_ids, ctx) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(kind, tuple(input_ids), None, ctx))
+        self.nodes.append(Node(kind, tuple(input_ids), ctx))
         return nid
 
 
@@ -944,14 +943,14 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _apply("scale", [x], {"factor": float(factor)})
 
 
-def level_table(levels: Sequence[Tensor | np.ndarray]) -> np.ndarray:
+def level_table(levels: Sequence[Tensor]) -> np.ndarray:
     """The stacked channel-last rows `sample_levels` blends: (sum of h*w, C).
 
     Level l's rows follow level l-1's, so this table also serves any prefix
     of `levels`: build it once and pass it to every `sample_levels` call.
     A table of at least _PARALLEL_VALUES values is copied on the pool.
     """
-    arrays = [lv.values if isinstance(lv, Tensor) else np.asarray(lv, dtype=np.float64) for lv in levels]
+    arrays = [lv.values for lv in levels]
     _check_levels(arrays)
     return _stack_channel_last(arrays)
 

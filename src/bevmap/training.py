@@ -249,26 +249,26 @@ class Checkpoint(dict):
     """Params by name, plus what the `_meta` entry records about the run
     that wrote them; the bank is None in random mode."""
 
-    decoder_cfg: DecoderConfig | None
+    decoder_cfg: DecoderConfig
     bank: PriorBank | None
-    features: dict | None
-    dataset_fingerprint: str | None
+    features: dict
+    dataset_fingerprint: str
 
 
 def save_checkpoint(
     params: dict[str, Tensor],
     path: str,
-    decoder_cfg: DecoderConfig | None = None,
-    bank: PriorBank | None = None,
-    features: dict | None = None,
-    dataset_fingerprint: str | None = None,
+    decoder_cfg: DecoderConfig,
+    bank: PriorBank | None,
+    features: dict,
+    dataset_fingerprint: str,
 ) -> None:
     """Write params and a JSON `_meta` entry: format version, the effective
-    decoder config, the bank, the features section and the fingerprint of
-    the training data."""
+    decoder config, the bank (None in random mode), the features section and
+    the fingerprint of the training data."""
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "decoder": dataclasses.asdict(decoder_cfg) if decoder_cfg else None,
+        "decoder": dataclasses.asdict(decoder_cfg),
         "bank": bank_to_dict(bank) if bank else None,
         "features": features,
         "dataset_fingerprint": dataset_fingerprint,
@@ -291,7 +291,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta = json.loads(meta_text)
         if meta["format"] != CHECKPOINT_FORMAT:
             raise CheckpointError(f"{path}: checkpoint format {meta['format']!r}, expected {CHECKPOINT_FORMAT}")
-        ckpt.decoder_cfg = DecoderConfig(**meta["decoder"]) if meta["decoder"] else None
+        missing = [key for key in ("decoder", "features", "dataset_fingerprint") if meta[key] is None]
+        if missing:
+            raise CheckpointError(f"{path}: _meta records no {', '.join(missing)}")
+        ckpt.decoder_cfg = DecoderConfig(**meta["decoder"])
         ckpt.bank = bank_from_dict(meta["bank"]) if meta["bank"] else None
         ckpt.features = meta["features"]
         ckpt.dataset_fingerprint = meta["dataset_fingerprint"]

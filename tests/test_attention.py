@@ -10,8 +10,6 @@ from bevmap.attention import (
     count_samples,
     init_msda_params,
     msda,
-    msda_dmd,
-    msda_vanilla,
     sinusoidal_pe,
 )
 from bevmap.decoder import DecoderConfig
@@ -97,7 +95,7 @@ def test_identity_configuration_reduces_to_bilinear():
     params.stage.out_w = Tensor(np.eye(c)[None])
     grid = rng.normal(size=(c, 8, 8))
     refs = rng.uniform(0.1, 0.9, (5, 2))
-    out = msda_vanilla(Tensor(rng.normal(size=(5, c))), [grid], Tensor(refs), params)
+    out = msda(Tensor(rng.normal(size=(5, c))), [Tensor(grid)], Tensor(refs), params)
     direct = ta.bilinear_sample(Tensor(grid), Tensor(refs))
     assert np.allclose(out.output.values, direct.values, atol=1e-12)
     assert out.sample_count == 1
@@ -119,24 +117,24 @@ def test_attention_weights_normalized_all_variants():
                 assert np.abs(g.sum(axis=-1) - 1.0).max() <= 1e-6
 
 
-def test_msda_vanilla_gradcheck():
+def test_vanilla_gradcheck():
     q, r, lv = _random_setup(seed=5)
     params = init_msda_params(VARIANT_VANILLA, 2, 2, 2, 16, seed=6)
 
     def f(qt, rt, l0, l1):
-        return ta.reduce_sum(msda_vanilla(qt, [l0, l1], rt, params).output)
+        return ta.reduce_sum(msda(qt, [l0, l1], rt, params).output)
 
     err = ta.grad_check(f, [Tensor(q), Tensor(r), Tensor(lv[0]), Tensor(lv[1])])
     assert err <= 1e-4
 
 
 @pytest.mark.parametrize("variant", [VARIANT_SCALE_THEN_SAMPLE])
-def test_msda_dmd_gradcheck(variant):
+def test_dmd_gradcheck(variant):
     q, r, lv = _random_setup(seed=7)
     params = init_msda_params(variant, 2, 2, 2, 16, seed=8)
 
     def f(qt, rt, l0, l1):
-        return ta.reduce_sum(msda_dmd(qt, [l0, l1], rt, params).output)
+        return ta.reduce_sum(msda(qt, [l0, l1], rt, params).output)
 
     err = ta.grad_check(f, [Tensor(q), Tensor(r), Tensor(lv[0]), Tensor(lv[1])])
     assert err <= 1e-4
@@ -146,12 +144,13 @@ def test_level_count_mismatch():
     q, r, lv = _random_setup()
     params = init_msda_params(VARIANT_VANILLA, 2, 3, 2, 16, seed=0)
     with pytest.raises(ContractViolation, match="levels"):
-        msda_vanilla(Tensor(q), lv, Tensor(r), params)
+        msda(Tensor(q), [Tensor(x) for x in lv], Tensor(r), params)
 
 
 def test_permutation_equivariance_over_queries():
     q, r, lv = _random_setup(seed=9, queries=7)
     perm = np.random.default_rng(10).permutation(7)
+    lv = [Tensor(x) for x in lv]
     for variant in ALL_VARIANTS:
         params = init_msda_params(variant, 2, 2, 2, 16, seed=11)
         base = msda(Tensor(q), lv, Tensor(r), params).output.values
@@ -251,7 +250,7 @@ class _CountingPool:
 def _msda_forward_bytes(variant, heads, m, n, seed):
     """msda's output with no tape recording, as bytes."""
     tokens, ref, levels, params, _ = _msda_case(variant, heads, m, n, seed)
-    return msda(Tensor(tokens), levels, Tensor(ref), params).output.values.tobytes()
+    return msda(Tensor(tokens), [Tensor(lv) for lv in levels], Tensor(ref), params).output.values.tobytes()
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -293,7 +292,7 @@ def test_dmd_two_stage_composition_oracle():
     # M=1, N=1: scale_then_sample must equal the hand-composed two stages
     q, r, lv = _random_setup(seed=12, levels=1, points=1)
     params = init_msda_params(VARIANT_SCALE_THEN_SAMPLE, 2, 1, 1, 16, seed=13)
-    out = msda_dmd(Tensor(q), lv, Tensor(r), params).output.values
+    out = msda(Tensor(q), [Tensor(lv[0])], Tensor(r), params).output.values
 
     from bevmap.attention import _linear_rows, _msda_stage
 
@@ -313,9 +312,31 @@ def test_sample_counts():
         count_samples(VARIANT_VANILLA, 0, 1)
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n", [1, 4])
+def test_count_samples_equals_points_the_sampler_produces(monkeypatch, variant, m, n):
+    produced = []
+    sample_levels = ta.sample_levels
+
+    def counting(levels, pts, val_w, table=None):
+        out = sample_levels(levels, pts, val_w, table)
+        heads, rows, _ = out.shape  # (Nh, T*M*N, D)
+        assert heads == 2
+        produced.append(rows // pts[0].shape[0])
+        return out
+
+    monkeypatch.setattr(ta, "sample_levels", counting)
+    q, r, lv = _random_setup(seed=30, levels=m, points=n)
+    params = init_msda_params(variant, 2, m, n, 16, seed=31)
+    result = msda(Tensor(q), [Tensor(x) for x in lv], Tensor(r), params)
+    assert len(produced) == (1 if variant == VARIANT_VANILLA else 2)
+    assert sum(produced) == result.sample_count == count_samples(variant, m, n)
+
+
 def test_sampled_value_reports_cost():
     q, r, lv = _random_setup(seed=14, levels=3, points=4, channels=16, heads=2)
-    lv = lv[:3]
+    lv = [Tensor(x) for x in lv[:3]]
     params = init_msda_params(VARIANT_VANILLA, 2, 3, 4, 16, seed=15)
     assert msda(Tensor(q), lv, Tensor(r), params).sample_count == 12
     params = init_msda_params(VARIANT_SCALE_THEN_SAMPLE, 2, 3, 4, 16, seed=15)

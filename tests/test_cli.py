@@ -4,6 +4,8 @@ import functools
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +241,7 @@ def _one_line_error(capsys) -> str:
      "error (ConfigError): features: truncation must be a finite number > 0, got -1"),
     ("train", ["--set", "features.noise_sd=-1"],
      "error (ConfigError): features: noise_sd must be a finite number >= 0, got -1"),
+    ("eval", ["--checkpoint", "{no_features}"], "error (CliError): {no_features}: _meta records no features"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
@@ -253,6 +256,7 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
         "old_variant": str(tmp_path / "old_variant.npz"),
         "not_json": str(tmp_path / "not_json.npz"),
         "no_format": str(tmp_path / "no_format.npz"),
+        "no_features": str(tmp_path / "no_features.npz"),
     }
     (tmp_path / "bank.json").write_text(json.dumps({"priors": 3}))
     (tmp_path / "pickle.npz").write_bytes(pickle.dumps({"a": 1}))
@@ -265,6 +269,8 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
     np.savez(paths["not_json"], **{**arrays, "_meta": np.array("{not json")})
     del meta["format"]
     np.savez(paths["no_format"], **{**arrays, "_meta": np.array(json.dumps(meta))})
+    meta = {**json.loads(str(arrays["_meta"])), "features": None}
+    np.savez(paths["no_features"], **{**arrays, "_meta": np.array(json.dumps(meta))})
     inputs = {
         "gen-data": [],
         "fit-priors": ["--scenes", data, "--k", "4", "--n-pri", "4"],
@@ -353,3 +359,18 @@ def test_every_flag_sets_a_config_key():
     # every bench-attn --variant choice names one attention variant, and every variant has a choice
     variant = next(a for a in commands["bench-attn"]._actions if a.dest == "variant")
     assert sorted(cli.BENCH_VARIANTS[choice] for choice in variant.choices) == sorted(ALL_VARIANTS)
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_value,expected", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_unless_the_user_set_them(user_value, expected):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    if user_value is not None:
+        env.update(dict.fromkeys(_BLAS_VARS, user_value))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = f"import os, bevmap.cli; print(*(os.environ[v] for v in {_BLAS_VARS!r}))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == [expected] * 3

@@ -9,7 +9,6 @@ from bevmap.decoder import (
     DecoderConfig,
     LayerOutput,
     NumericalError,
-    ReferencePointSet,
     assemble_queries,
     decoder_layer,
     forward,
@@ -38,9 +37,19 @@ def _levels(channels, seed=0, h=20, w=10, num=2):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(num):
-        out.append(rng.normal(size=(channels, h, w)))
+        out.append(Tensor(rng.normal(size=(channels, h, w))))
         h, w = (h + 1) // 2, (w + 1) // 2
     return out
+
+
+def _draw_reg2(params, seed, sd=0.02):
+    """Replace every layer's zero-initialized `reg2.w` by a Gaussian draw, so
+    layer 0 moves its reference points."""
+    rng = np.random.default_rng(seed)
+    for name in sorted(params):
+        if name.endswith(".reg2.w"):
+            params[name] = Tensor(rng.normal(0.0, sd, params[name].shape))
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -53,7 +62,6 @@ def test_default_config_matches_stated_sizes():
     assert cfg.n_prior == 9
     assert cfg.n_points == 20
     assert cfg.n_layers == 6
-    assert cfg.n_learnable == 41
 
 
 def test_prior_rows_copied_exactly():
@@ -61,17 +69,16 @@ def test_prior_rows_copied_exactly():
     params = init_model_params(cfg, seed=1)
     bank = _bank(2, 8)
     refs = init_reference_points(bank, cfg, params)
-    assert refs.n_prior == 2
-    assert np.array_equal(refs.coords.values[:2], np.stack([p.points for p in bank.priors]))
-    assert refs.origin_flags[:2] == ["prior", "prior"]
-    assert refs.origin_flags[2:] == ["learnable"] * 4
+    assert refs.shape == (6, 8, 2)
+    assert np.array_equal(refs.values[:2], np.stack([p.points for p in bank.priors]))
+    assert np.array_equal(refs.values[2:], ta.sigmoid(params["ref_logits"]).values)
 
 
 def test_learnable_rows_strictly_inside_unit_square():
     cfg = _tiny_cfg()
     params = init_model_params(cfg, seed=2)
     refs = init_reference_points(_bank(2, 8), cfg, params)
-    learnable = refs.coords.values[2:]
+    learnable = refs.values[2:]
     assert (learnable > 0.0).all() and (learnable < 1.0).all()
 
 
@@ -128,11 +135,11 @@ def test_assemble_width_mismatch():
 
 def test_zero_regression_head_keeps_references():
     cfg = _tiny_cfg()
-    params = init_model_params(cfg, seed=7, zero_init_regression=True)
+    params = init_model_params(cfg, seed=7)
     bank = _bank(2, 8)
     outs = forward(params, bank, _levels(16), cfg)
     refs = init_reference_points(bank, cfg, params)
-    assert np.allclose(outs[0].point_coords.values, refs.coords.values, atol=1e-12)
+    assert np.allclose(outs[0].point_coords.values, refs.values, atol=1e-12)
 
 
 def test_residual_passthrough_with_zeroed_block_outputs():
@@ -157,7 +164,7 @@ def test_per_layer_pe_maps_are_independent():
     cfg = _tiny_cfg()
     bank = _bank(2, 8)
     levels = _levels(16, seed=10)
-    params = init_model_params(cfg, seed=11, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=11), seed=111)
     base = forward(params, bank, levels, cfg)
     perturbed = dict(params)
     perturbed["layers.1.pe.w"] = Tensor(params["layers.1.pe.w"].values + 0.01)
@@ -179,13 +186,11 @@ def test_forward_output_contract():
         assert out.class_logits.shape == (6, 3)
         assert out.point_coords.shape == (6, 8, 2)
         assert (out.point_coords.values >= 0).all() and (out.point_coords.values <= 1).all()
-        # the refined reference is the layer's prediction
-        assert out.refined_reference.coords is out.point_coords
 
 
 def test_forward_deterministic():
     cfg = _tiny_cfg()
-    params = init_model_params(cfg, seed=14, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=14), seed=114)
     bank = _bank(2, 8)
     levels = _levels(16, seed=15)
     a = forward(params, bank, levels, cfg)
@@ -197,7 +202,7 @@ def test_forward_deterministic():
 
 def test_gradient_flow_no_dead_parameters():
     cfg = _tiny_cfg()
-    params = init_model_params(cfg, seed=16, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=16), seed=116)
     bank = _bank(2, 8)
     levels = _levels(16, seed=17)
     with Tape() as tape:
@@ -213,17 +218,15 @@ def test_gradient_flow_no_dead_parameters():
 
 def test_prior_coordinates_receive_no_gradient():
     cfg = _tiny_cfg()
-    params = init_model_params(cfg, seed=18, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=18), seed=118)
     bank = _bank(2, 8)
     levels = _levels(16, seed=19)
     prior_const = Tensor(np.stack([p.points for p in bank.priors]))
     with Tape() as tape:
-        refs = init_reference_points(bank, cfg, params)
         # splice the tracked constant in to observe any gradient into it
-        coords = ta.concat([prior_const, ta.sigmoid(params["ref_logits"])], axis=0)
-        refs = ReferencePointSet(coords, refs.n_prior)
+        refs = ta.concat([prior_const, ta.sigmoid(params["ref_logits"])], axis=0)
         q = assemble_queries(params["q_ins"], params["q_pts"])
-        out = decoder_layer(q, refs, [Tensor(l) for l in levels], params, cfg, 0)
+        out = decoder_layer(q, refs, levels, params, cfg, 0)
         loss = ta.reduce_sum(ta.multiply(out.point_coords, out.point_coords))
         grads = ta.backward(tape, loss)
     # gradients do flow to the spliced constant tensor through PE/sampling,
@@ -241,10 +244,10 @@ def test_prior_coordinates_receive_no_gradient():
 
 def test_refinement_stability_with_small_weights():
     cfg = _tiny_cfg(n_layers=3)
-    params = init_model_params(cfg, seed=20, init_sd=1e-3, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=20, init_sd=1e-3), seed=120, sd=1e-3)
     bank = _bank(2, 8)
     outs = forward(params, bank, _levels(16, seed=21), cfg)
-    prev = init_reference_points(bank, cfg, params).coords.values
+    prev = init_reference_points(bank, cfg, params).values
     for out in outs:
         cur = out.point_coords.values
         displacement = np.abs(cur - prev).mean()
@@ -257,14 +260,14 @@ def test_non_finite_input_names_stage():
     params = init_model_params(cfg, seed=22)
     bank = _bank(2, 8)
     levels = _levels(16, seed=23)
-    levels[0][0, 0, 0] = np.nan
+    levels[0].values[0, 0, 0] = np.nan
     with pytest.raises(NumericalError, match="stage"):
         forward(params, bank, levels, cfg)
 
 
 def test_frozen_references_match_normal_forward():
     cfg = _tiny_cfg()
-    params = init_model_params(cfg, seed=28, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=28), seed=128)
     bank = _bank(2, 8)
     levels = _levels(16, seed=29)
     base = forward(params, bank, levels, cfg)
@@ -282,7 +285,7 @@ def test_end_to_end_gradcheck_tiny_config():
         n_instances=4, n_prior=2, n_points=4, channels=16, n_layers=2,
         n_heads=2, ffn_dim=16, head_hidden=8, num_levels=2, num_points_attn=2,
     )
-    params = init_model_params(cfg, seed=24, zero_init_regression=False)
+    params = _draw_reg2(init_model_params(cfg, seed=24), seed=124)
     bank = _bank(2, 4, seed=25)
     levels = _levels(16, seed=26, h=10, w=8)
     rng = np.random.default_rng(27)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bevmap import evaluate as ev
 from bevmap.evaluate import (
     CHAMFER_THRESHOLDS,
     EvalReport,
@@ -73,15 +74,15 @@ def _oracle_ap(preds, gts, tau):
 def test_single_tp_full_ap():
     gt = [_line(0.0)]
     pred = [Prediction(_line(0.4), 0.9)]  # chamfer 0.4 <= 0.5
-    assert _ap_pooled([pred], [gt], 0.5)[0] == 1.0
+    assert _ap_pooled([pred], [gt], (0.5,))[0][0] == 1.0
 
 
 def test_no_predictions_zero_ap():
-    assert _ap_pooled([[]], [[_line(0.0)]], 0.5)[0] == 0.0
+    assert _ap_pooled([[]], [[_line(0.0)]], (0.5,))[0][0] == 0.0
 
 
 def test_vacuous_case_is_one():
-    assert _ap_pooled([[]], [[]], 0.5)[0] == 1.0
+    assert _ap_pooled([[]], [[]], (0.5,))[0][0] == 1.0
 
 
 def test_random_cases_match_oracle():
@@ -95,7 +96,7 @@ def test_random_cases_match_oracle():
             for _ in range(n_pred)
         ]
         for tau in CHAMFER_THRESHOLDS:
-            assert abs(_ap_pooled([preds], [gts], tau)[0] - _oracle_ap(preds, gts, tau)) < 1e-12
+            assert abs(_ap_pooled([preds], [gts], (tau,))[0][0] - _oracle_ap(preds, gts, tau)) < 1e-12
 
 
 def test_mixed_three_pred_two_gt_case():
@@ -106,7 +107,7 @@ def test_mixed_three_pred_two_gt_case():
         Prediction(_line(2.3), 0.7),
     ]
     for tau in CHAMFER_THRESHOLDS:
-        assert abs(_ap_pooled([preds], [gts], tau)[0] - _oracle_ap(preds, gts, tau)) < 1e-12
+        assert abs(_ap_pooled([preds], [gts], (tau,))[0][0] - _oracle_ap(preds, gts, tau)) < 1e-12
 
 
 def test_ap_non_increasing_in_strictness():
@@ -114,8 +115,8 @@ def test_ap_non_increasing_in_strictness():
     for _ in range(10):
         gts = [_line(rng.uniform(-4, 4)) for _ in range(3)]
         preds = [Prediction(_line(rng.uniform(-4, 4)), float(rng.uniform(0, 1))) for _ in range(4)]
-        ap_tight = _ap_pooled([preds], [gts], 0.5)[0]
-        ap_loose = _ap_pooled([preds], [gts], 1.5)[0]
+        ap_tight = _ap_pooled([preds], [gts], (0.5,))[0][0]
+        ap_loose = _ap_pooled([preds], [gts], (1.5,))[0][0]
         assert ap_loose >= ap_tight - 1e-12
 
 
@@ -124,7 +125,7 @@ def test_duplicate_prediction_never_raises_ap():
     base = [Prediction(_line(0.2), 0.9), Prediction(_line(3.1), 0.5)]
     dup = [Prediction(_line(0.2), 0.9), Prediction(_line(0.25), 0.7), Prediction(_line(3.1), 0.5)]
     for tau in CHAMFER_THRESHOLDS:
-        assert _ap_pooled([dup], [gts], tau)[0] <= _ap_pooled([base], [gts], tau)[0] + 1e-12
+        assert _ap_pooled([dup], [gts], (tau,))[0][0] <= _ap_pooled([base], [gts], (tau,))[0][0] + 1e-12
 
 
 def test_confidence_rescaling_invariance():
@@ -133,7 +134,7 @@ def test_confidence_rescaling_invariance():
     preds = [Prediction(_line(rng.uniform(-4, 4)), float(rng.uniform(0.1, 0.9))) for _ in range(5)]
     scaled = [Prediction(p.element, p.score * 0.5) for p in preds]
     for tau in CHAMFER_THRESHOLDS:
-        assert _ap_pooled([preds], [gts], tau)[0] == _ap_pooled([scaled], [gts], tau)[0]
+        assert _ap_pooled([preds], [gts], (tau,))[0][0] == _ap_pooled([scaled], [gts], (tau,))[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -178,6 +179,20 @@ def test_cross_scene_pooling_matches_within_scene():
     entry = report.per_class[CLASS_DIVIDER]
     counts = entry["counts"][0.5]
     assert counts["tp"] == 1 and counts["fp"] == 1 and counts["fn"] == 1
+
+
+def test_each_chamfer_distance_computed_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ev, "chamfer", lambda a, b: calls.append(1) or chamfer(a, b))
+    gts = [[_line(0.0), _line(3.0), _line(2.0, CLASS_BOUNDARY)], [_line(-1.0)]]
+    preds = [
+        [Prediction(_line(0.2), 0.9), Prediction(_line(2.0, CLASS_BOUNDARY), 0.4)],
+        [Prediction(_line(-0.8), 0.7), Prediction(_line(5.0), 0.3)],
+    ]
+    report = evaluate(preds, gts)
+    # one distance per (prediction, same-class ground truth of its scene), for all three thresholds
+    assert len(calls) == 1 * 2 + 2 * 1 + 1 * 1
+    assert report.per_class[CLASS_DIVIDER]["counts"][0.5] == {"tp": 2, "fp": 1, "fn": 1}
 
 
 def test_report_serialization():

@@ -1,9 +1,12 @@
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bevmap"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bevmap"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -42,3 +45,17 @@ def test_only_tensorad_imports_concurrency():
     # threads have one owner: the sampler's pool in tensorad
     found = {path.name: _concurrency_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: mods for name, mods in found.items() if mods and name != "tensorad.py"} == {}
+
+
+def test_every_benchmark_patch_resolves():
+    # the benchmark wraps these names where callers look them up; deleting
+    # one breaks its trace
+    spec = importlib.util.spec_from_file_location("bench_trace", ROOT / "perfbench" / "bench_trace.py")
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in bench_trace.PATCHES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

@@ -12,7 +12,7 @@ from bevmap.losses import (
     point_l1_loss,
     total_loss,
 )
-from bevmap.matching import CostConfig, gt_targets, match_layer
+from bevmap.matching import gt_targets, match_layer
 from bevmap.priors import PriorBank, PriorShape
 from bevmap.synth import InstanceMask
 from bevmap.tensorad import Tape, Tensor
@@ -131,10 +131,14 @@ def _tiny_model(seed=0):
         n_instances=4, n_prior=2, n_points=4, channels=16, n_layers=2,
         n_heads=2, ffn_dim=16, head_hidden=8, num_levels=2, num_points_attn=2,
     )
-    params = init_model_params(cfg, seed=seed, zero_init_regression=False)
+    params = init_model_params(cfg, seed=seed)
+    reg_rng = np.random.default_rng(seed + 100)
+    for layer in range(cfg.n_layers):
+        name = f"layers.{layer}.reg2.w"
+        params[name] = Tensor(reg_rng.normal(0.0, 0.02, params[name].shape))
     rng = np.random.default_rng(seed + 1)
     bank = PriorBank([PriorShape("polyline", rng.uniform(0.1, 0.9, (4, 2))) for _ in range(2)])
-    levels = [rng.normal(size=(16, 10, 8)), rng.normal(size=(16, 5, 4))]
+    levels = [Tensor(rng.normal(size=(16, 10, 8))), Tensor(rng.normal(size=(16, 5, 4)))]
     ext = BevExtent(0.0, 1.0, 0.0, 1.0, 10, 8)
     gts = gt_targets(
         [
@@ -167,7 +171,7 @@ def test_point_loss_uses_chosen_ordering():
     ext = BevExtent(0.0, 1.0, 0.0, 1.0, 4, 4)
     gt = gt_targets([MapElement(CLASS_DIVIDER, KIND_POLYLINE, np.array([[0.1, 0.5], [0.9, 0.5]]))], ext)
     pred_points = np.stack([gt[0].orderings[1], np.full((2, 2), 0.05)])  # query 0 reversed
-    assignment = match_layer(np.zeros((2, 3)), pred_points, gt, CostConfig())
+    assignment = match_layer(np.zeros((2, 3)), pred_points, gt, CFG)
     loss = point_l1_loss(Tensor(pred_points), assignment, gt).item()
     assert loss == pytest.approx(0.0, abs=1e-15)
 
@@ -196,9 +200,8 @@ def test_total_loss_gradcheck_tiny():
     mask = np.random.default_rng(8).integers(0, 3, (10, 8))
     frozen = [o.point_coords.values for o in forward(params, bank, levels, cfg)[:-1]]
     base_outs = forward(params, bank, levels, cfg)
-    cost_cfg = CostConfig()
     fixed_assignments = [
-        match_layer(o.class_logits.values, o.point_coords.values, gts, cost_cfg)
+        match_layer(o.class_logits.values, o.point_coords.values, gts, CFG)
         for o in base_outs
     ]
 

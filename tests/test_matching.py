@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from bevmap import matching as mt
 from bevmap.geometry import BevExtent, CLASS_DIVIDER, KIND_POLYLINE, MapElement, normalize
+from bevmap.losses import LossConfig
 from bevmap.matching import (
     Assignment,
-    CostConfig,
     MatchingError,
     brute_force_assignment,
     cost_matrix,
@@ -32,7 +32,7 @@ def _gt_line(points):
 
 def test_exact_match_has_zero_point_term():
     gt = _gt_line([[0.1, 0.1], [0.9, 0.9]])
-    cfg = CostConfig(lambda_cls=0.0, lambda_pts=5.0)
+    cfg = LossConfig(lambda_cls=0.0, lambda_pts=5.0)
     cost = pair_cost_with_ordering(np.zeros(3), gt.orderings[0], gt, cfg)[0]
     assert cost == 0.0
 
@@ -43,7 +43,7 @@ def test_reversed_gt_same_cost():
     rng = np.random.default_rng(0)
     pred_pts = rng.uniform(0, 1, (2, 2))
     logits = rng.normal(size=3)
-    cfg = CostConfig()
+    cfg = LossConfig()
     assert pair_cost_with_ordering(logits, pred_pts, gt, cfg)[0] == pytest.approx(
         pair_cost_with_ordering(logits, pred_pts, gt_rev, cfg)[0], abs=1e-15
     )
@@ -52,7 +52,7 @@ def test_reversed_gt_same_cost():
 def test_offset_polyline_point_term():
     gt = _gt_line([[0.2, 0.5], [0.8, 0.5]])
     pred = gt.orderings[0] + np.array([0.1, 0.0])
-    cfg = CostConfig(lambda_cls=0.0, lambda_pts=1.0)
+    cfg = LossConfig(lambda_cls=0.0, lambda_pts=1.0)
     cost, ordering = pair_cost_with_ordering(np.zeros(3), pred, gt, cfg)
     # mean L1 over points and coordinates: mean(|0.1|, |0|) = 0.05 per point
     assert cost == pytest.approx(0.05, abs=1e-12)
@@ -64,7 +64,7 @@ def test_cost_matrix_matches_pair_cost():
     gts = [_gt_line(rng.uniform(0, 1, (4, 2))) for _ in range(3)]
     logits = rng.normal(size=(5, 3))
     points = rng.uniform(0, 1, (5, 4, 2))
-    cfg = CostConfig()
+    cfg = LossConfig()
     costs, orderings = cost_matrix(logits, points, gts, cfg)
     for i, gt in enumerate(gts):
         for q in range(5):
@@ -143,7 +143,7 @@ def test_match_layer_records_orderings():
     gt = _gt_line([[0.1, 0.5], [0.9, 0.5]])
     logits = np.zeros((2, 3))
     points = np.stack([gt.orderings[1], np.full((2, 2), 0.05)])  # query 0 = reversed gt
-    a = match_layer(logits, points, [gt], CostConfig())
+    a = match_layer(logits, points, [gt], LossConfig())
     assert len(a.pairs) == 1
     g, q, ordering = a.pairs[0]
     assert (g, q) == (0, 0)

@@ -1,3 +1,4 @@
+import json
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from bevmap.priors import abstract, fit_clusters
 from bevmap.training import (
     PRIOR_MODE_PRIOR,
     PRIOR_MODE_RANDOM,
+    CheckpointError,
     TrainConfig,
     build_dataset,
     final_epoch_mean,
@@ -133,11 +135,28 @@ def test_checkpoint_round_trip(tmp_path, world):
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(params, eff_bank, dataset, eff_cfg, tcfg)
     path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(result.params, path)
+    save_checkpoint(result.params, path, eff_cfg, eff_bank, {"truncation": 3.0}, "abc123")
     loaded = load_checkpoint(path)
     assert sorted(loaded) == sorted(result.params)
     for name in loaded:
         assert np.array_equal(loaded[name].values, result.params[name].values)
+    assert loaded.decoder_cfg == eff_cfg
+    assert [p.points.tolist() for p in loaded.bank.priors] == [p.points.tolist() for p in eff_bank.priors]
+    assert (loaded.features, loaded.dataset_fingerprint) == ({"truncation": 3.0}, "abc123")
+
+
+@pytest.mark.parametrize("missing", ["decoder", "features", "dataset_fingerprint"])
+def test_checkpoint_without_run_record_refused(tmp_path, world, missing):
+    scenes, dcfg, dataset, bank = world
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint({"w": ta.Tensor(np.zeros(2))}, path, dcfg, None, {"truncation": 3.0}, "abc123")
+    with np.load(path) as data:
+        meta = json.loads(str(data["_meta"]))
+    meta[missing] = None
+    np.savez(path, _meta=np.array(json.dumps(meta)), w=np.zeros(2))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: _meta records no {missing}"
 
 
 def test_empty_dataset_rejected(world):
