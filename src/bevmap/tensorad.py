@@ -254,6 +254,10 @@ def backward(tape: Tape, output: Tensor) -> GradMap:
     out_id = output._nid
     grads = GradMap(tape)
     grads[out_id] = np.ones(output.shape)
+    # ids whose gradient is a sum this sweep allocated, so no other id holds
+    # it and later terms add into it in place; a term a backward rule returned
+    # may be its upstream gradient or another input's, so it is never summed into
+    owned: set[int] = set()
     for nid in range(out_id, -1, -1):
         if nid not in grads:
             continue
@@ -264,10 +268,20 @@ def backward(tape: Tape, output: Tensor) -> GradMap:
         for inp, g in zip(node.inputs, input_grads):
             if g is None:
                 continue
-            if inp in grads:
-                grads[inp] = grads[inp] + g
-            else:
+            if inp not in grads:
                 grads[inp] = g
+                continue
+            acc = grads[inp]
+            like = acc.shape == g.shape and acc.dtype == g.dtype
+            if like and inp in owned:
+                np.add(acc, g, out=acc)
+            elif like and not g.flags.c_contiguous:
+                # a sampler's level gradient is a transposed view, and so are the
+                # terms after it: the sum takes their layout, so they add in stride
+                grads[inp] = np.add(acc, g, out=np.empty_like(g))
+            else:
+                grads[inp] = acc + g
+            owned.add(inp)
     return grads
 
 
@@ -619,7 +633,8 @@ def _fwd_gather(ins, p):
         idx.size == 0 or (idx.min() >= 0 and idx.max() < x.shape[axis]),
         f"gather: indices out of range for axis {axis} of {x.shape}",
     )
-    return np.take(x, idx, axis=axis), (x.shape, axis, idx)
+    increasing = bool((idx[1:] > idx[:-1]).all())
+    return np.take(x, idx, axis=axis), (x.shape, axis, idx, increasing)
 
 
 def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None) -> np.ndarray:
@@ -643,8 +658,14 @@ def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.nd
 
 
 def _bwd_gather(node, g):
-    shape, axis, idx = node.ctx
+    shape, axis, idx, increasing = node.ctx
     g_m = np.moveaxis(g, axis, 0)
+    if increasing:
+        # distinct indices: each target row sums one term, 0 + g, as the
+        # scatter does (so -0.0 lands as +0.0), written in place
+        out = np.zeros(shape)
+        np.moveaxis(out, axis, 0)[idx] = g_m + 0.0
+        return [out]
     rest = g_m.shape[1:]
     flat = _scatter_rows(idx, g_m.reshape(idx.size, math.prod(rest)), shape[axis])
     return [np.ascontiguousarray(np.moveaxis(flat.reshape((shape[axis],) + rest), 0, axis))]
@@ -746,6 +767,7 @@ _register("power", _fwd_power, _bwd_power)
 # --------------------------------------------------------------------------
 
 _PARALLEL_VALUES = 2**21
+_DOT_ROWS = 1024  # samples per gathered block in the backward's corner dots
 _WORKERS = len(os.sched_getaffinity(0))
 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="bevmap")  # threads start with the first large call
 
@@ -855,6 +877,24 @@ def _fwd_sample_levels(ins, p):
     return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces, s, val_w)
 
 
+def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_l: np.ndarray) -> np.ndarray:
+    """(4, K): the dot of table row lin[j, k] with g_l[k], for each corner j.
+
+    The rows are gathered _DOT_ROWS samples at a time into one reused buffer,
+    so they are read from cache and no (K, C) array is allocated per corner;
+    each dot is the same `einsum` over C as one call on all K rows.
+    """
+    k, c = g_l.shape
+    dots = np.empty(lin.shape)
+    buf = np.empty((min(_DOT_ROWS, k), c))
+    for a in range(0, k, _DOT_ROWS):
+        b = min(a + _DOT_ROWS, k)
+        for j, lin_f in enumerate(lin):
+            np.take(level_rows, lin_f[a:b], axis=0, out=buf[: b - a])
+            np.einsum("kc,kc->k", buf[: b - a], g_l[a:b], out=dots[j, a:b])
+    return dots
+
+
 def _bwd_sample_levels(node, g):
     (t, nh, n), shapes, table, offsets, pieces, s, val_w = node.ctx
     g_s, g_val_w = _matmul_grads(s, val_w, g)
@@ -870,8 +910,7 @@ def _bwd_sample_levels(node, g):
         g_levels.append(g_flat.T.reshape(c, h, w))
         # point gradient: derivative of the blend weights wrt the fractional offsets;
         # out-of-bounds corners contribute zero, so mask their value dot products
-        level_rows = table[off : off + h * w]
-        dots = np.stack([np.einsum("kc,kc->k", level_rows[lin_f], g_l) for lin_f in lin]) * valid  # (4, K)
+        dots = _corner_dots(table[off : off + h * w], lin, g_l) * valid  # (4, K)
         v00, v01, v10, v11 = dots
         d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
         d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11

@@ -84,6 +84,24 @@ def test_unreached_leaves_get_zero_gradients():
     assert np.array_equal(grads.of(x), np.ones(2))
 
 
+def test_backward_keeps_shared_gradients_apart():
+    # `add` hands one upstream array to both of its inputs; a gradient that
+    # already is a sum takes later terms in place, and no input may see
+    # another's terms
+    c, d, e = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0]), np.array([0.5, 4.0, 8.0])
+    with Tape() as tape:
+        x = Tensor([0.5, 0.25, 2.0])
+        y = Tensor([1.0, 3.0, 1.0])
+        a = ta.multiply(x, Tensor(c))
+        b = ta.multiply(y, Tensor(d))
+        p = ta.multiply(a, Tensor(e))  # a's second consumer, swept after z
+        z = ta.add(a, b)
+        f = ta.add(ta.reduce_sum(z), ta.reduce_sum(ta.multiply(p, p)))
+        grads = ta.backward(tape, f)
+    assert np.array_equal(grads.of(y), d)
+    assert np.array_equal(grads.of(x), c * (1.0 + 2.0 * p.values * e))
+
+
 def test_gradmap_shapes_match_outputs():
     with Tape() as tape:
         x = Tensor(np.ones((2, 3)))
@@ -496,6 +514,16 @@ def test_scatter_rows_matches_add_at_bytes(n_rows):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _assert_gather_backward_is_add_at(x, idx, axis, g):
+    with Tape() as tape:
+        xt = Tensor(x)
+        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(ta.gather(xt, idx, axis=axis), Tensor(g))))
+    want = np.zeros(x.shape)
+    np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(g, axis, 0))
+    got = grads.of(xt)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape,axis", [((6, 5), 0), ((3, 6, 4), 1)])
 def test_gather_backward_matches_add_at_bytes(shape, axis):
     rng = np.random.default_rng(7)
@@ -503,11 +531,17 @@ def test_gather_backward_matches_add_at_bytes(shape, axis):
     idx = rng.permutation(np.repeat(np.arange(shape[axis]), 5))  # every index five times
     out_shape = list(shape)
     out_shape[axis] = idx.size
+    _assert_gather_backward_is_add_at(x, idx, axis, rng.normal(size=out_shape))
+
+
+@pytest.mark.parametrize("shape,axis", [((6, 5), 0), ((3, 6, 4), 1)])
+def test_gather_backward_distinct_indices_match_add_at_bytes(shape, axis):
+    # sorted distinct indices, as `np.flatnonzero` gives, take the one-term path
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape)
+    idx = np.delete(np.arange(shape[axis]), 2)
+    out_shape = list(shape)
+    out_shape[axis] = idx.size
     g = rng.normal(size=out_shape)
-    with Tape() as tape:
-        xt = Tensor(x)
-        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(ta.gather(xt, idx, axis=axis), Tensor(g))))
-    want = np.zeros(shape)
-    np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(g, axis, 0))
-    got = grads.of(xt)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    g.reshape(-1)[::3] = -0.0  # summed onto a zero, -0.0 comes out +0.0
+    _assert_gather_backward_is_add_at(x, idx, axis, g)
