@@ -78,13 +78,28 @@ def _require_path(path: str, what: str) -> str:
     return path
 
 
-def _load_scene_dir(data_dir: str) -> list[Scene]:
+def _load_scene(path: str) -> Scene:
+    try:
+        return load_scene(path)
+    except (ValueError, KeyError, TypeError) as e:
+        raise CliError(f"{path}: malformed scene file ({type(e).__name__}: {e})") from e
+
+
+def _load_scene_dir(data_dir: str, n_points: int) -> list[Scene]:
+    """Every scene file under `data_dir`/scenes, each checked to hold
+    finite elements of `n_points` points inside its extent."""
     scenes_dir = os.path.join(data_dir, "scenes")
     _require_path(scenes_dir, "scene directory")
     names = sorted(n for n in os.listdir(scenes_dir) if n.endswith(".json"))
     if not names:
         raise CliError(f"no scene files under {scenes_dir}")
-    return [load_scene(os.path.join(scenes_dir, n)) for n in names]
+    scenes = [_load_scene(os.path.join(scenes_dir, n)) for n in names]
+    try:
+        for scene in scenes:
+            scene.validate(n_points)
+    except GeometryError as e:
+        raise CliError(f"{data_dir}: {e}; scenes.n_points is {n_points}") from e
+    return scenes
 
 
 def _dataset_fingerprint(data_dir: str) -> str:
@@ -151,7 +166,7 @@ def cmd_gen_data(cfg: RunConfig) -> None:
 
 def cmd_fit_priors(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    scenes = _load_scene_dir(data_dir)
+    scenes = _load_scene_dir(data_dir, cfg.scenes.n_points)
     elements = [e for s in scenes for e in s.elements]
     try:
         fit = fit_clusters(elements, scenes[0].extent, cfg.priors.k, cfg.seed, cfg.priors.max_iters)
@@ -175,12 +190,7 @@ def cmd_fit_priors(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    scenes = _load_scene_dir(data_dir)
-    try:
-        for scene in scenes:
-            scene.validate(cfg.scenes.n_points)
-    except GeometryError as e:
-        raise CliError(f"{data_dir}: {e}; scenes.n_points is {cfg.scenes.n_points}") from e
+    scenes = _load_scene_dir(data_dir, cfg.scenes.n_points)
     fingerprint = _dataset_fingerprint(data_dir)
 
     bank = None
@@ -200,7 +210,8 @@ def cmd_train(cfg: RunConfig) -> None:
     dataset = _feature_dataset(scenes, cfg)
     val = None
     if cfg.io.val_dir:
-        val = _feature_dataset(_load_scene_dir(_require_path(cfg.io.val_dir, "validation dataset (io.val_dir)")), cfg)
+        val_dir = _require_path(cfg.io.val_dir, "validation dataset (io.val_dir)")
+        val = _feature_dataset(_load_scene_dir(val_dir, cfg.scenes.n_points), cfg)
         _check_grid(val, dataset[0].pyramid.levels[0].shape, cfg.io.val_dir)
     _snapshot(cfg, "train")
 
@@ -261,7 +272,7 @@ def _evaluate_params(params, bank, dataset, cfg: RunConfig, decoder_cfg: Decoder
 
 def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    dataset = _feature_dataset(_load_scene_dir(data_dir), cfg)
+    dataset = _feature_dataset(_load_scene_dir(data_dir, cfg.scenes.n_points), cfg)
     _check_grid(dataset, ckpt["adapter.pos"].shape, data_dir)
     _snapshot(cfg, "eval")
     report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg, ckpt.decoder_cfg)

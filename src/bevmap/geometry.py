@@ -103,9 +103,11 @@ class Scene:
     elements: list[MapElement] = field(default_factory=list)
     seed: int = 0
 
-    def validate(self, n_points: int | None = None) -> None:
+    def validate(self, n_points: int) -> None:
         for k, e in enumerate(self.elements):
-            if n_points is not None and e.n_points != n_points:
+            if not np.isfinite(e.points).all():
+                raise GeometryError(f"element {k} has non-finite points")
+            if e.n_points != n_points:
                 raise GeometryError(f"element {k} has {e.n_points} points, expected {n_points}")
             if not self.extent.contains(e.points):
                 raise GeometryError(f"element {k} has points outside the extent")
@@ -116,46 +118,95 @@ class Scene:
 # --------------------------------------------------------------------------
 
 
+# Relative margin of the walk's plain-float "inside the chord circle" test;
+# see `_walk_equal_chords` for the bound it has to meet.
+_INSIDE_MARGIN = 1e-9
+
+
 def _chain_steps(chain: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """Per-segment invariants of every walk along `chain`: the step vectors
-    d = b - a, their squared lengths d @ d, and the segment lengths."""
-    ds = [chain[k + 1] - chain[k] for k in range(chain.shape[0] - 1)]
-    return ds, [float(d @ d) for d in ds], np.linalg.norm(np.diff(chain, axis=0), axis=1)
+    """Per-segment invariants of every walk along `chain`: for each segment
+    a -> b its start, its step d = b - a (as plain floats, and as an array
+    for the dot products) and d @ d; its end b with the pad mu * (d @ d) of
+    the inside test; and the segment lengths."""
+    ds = np.diff(chain, axis=0)
+    qas = [float(d @ d) for d in ds]
+    segs = [(*a, *dl, d, qa) for a, dl, d, qa in zip(chain.tolist(), ds.tolist(), ds, qas)]
+    ends = [(b0, b1, _INSIDE_MARGIN * qa) for (b0, b1), qa in zip(chain[1:].tolist(), qas)]
+    return segs, ends, np.linalg.norm(ds, axis=1)
 
 
-def _walk_equal_chords(chain: np.ndarray, steps: tuple, hops: int, c: float):
-    """Place `hops` points along the chain from its first vertex, each at
+def _walk_equal_chords(steps: tuple, hops: int, c: float):
+    """Place `hops` points along a chain from its first vertex, each at
     Euclidean distance c from the previous one (first circle crossing);
     `steps` is `_chain_steps(chain)`.  Returns (points, leftover arc);
-    leftover is negative when the chain ends before all hops are placed."""
-    ds, qas, seg_len = steps
-    pts = [chain[0]]
+    leftover is negative when the chain ends before all hops are placed.
+
+    A segment is tested exactly (the quadratic below, with numpy dots, whose
+    BLAS kernel rounds differently from plain floats) unless the part of it
+    still ahead provably lies inside the circle about the last point x; then
+    the exact test would reject it, and it is skipped.  That needs both ends
+    of the part inside by the margin mu = _INSIDE_MARGIN in plain floats:
+    its end vertex b with |b - x|^2 + mu |d|^2 < c^2 (1 - mu), and its start
+    either x itself (the walk start or a point just placed) or a vertex that
+    passed this test on the previous segment.  After a segment is tested
+    exactly, the next one is too, until a point is placed.  Why the exact
+    test rejects a skipped segment, for the computed roots u1 <= u2 of
+    |a + u d - x|^2 = c^2:
+
+    * With L the chord of the segment's line in the circle, -f(1) =
+      c^2 - |b - x|^2 = |d|^2 (1 - u1)(u2 - 1) and (1 - u1)|d| <= L <= 2c,
+      so (u2 - 1)|d| >= mu (c^2 + |d|^2) / L and u2 - 1 >= mu: far above
+      the 1e-12 by which the test accepts a root past the segment end.
+    * With e = a - x, the computed u2 is off by about
+      9 eps (|e| + c)^2 / (|d| L) (eps the float epsilon): the rounding of
+      d @ d, e @ d and e @ e - c^2 over the root's slope |d| L.  |e| <= c
+      when the start is a vertex inside the circle, |e| <= |d| when it is
+      x on the segment, so the margin exceeds that error by at least
+      mu / (36 eps) > 1e5.
+    * The entry root u1 stays at or below the start by the same argument:
+      a vertex start is inside by mu c^2, and x itself lies c / |d| past
+      u1, against an error of about 9 eps (|d| / c)^2 c / |d|, which is
+      below 1e-5 c / |d| because the test needs mu |d|^2 < c^2.
+
+    So the points, the leftover and every bisection decision are those of
+    the walk that tests each segment exactly.  Coordinates are plain floats
+    wherever numpy rounds the same (elementwise + - *), and `e.dot(d)` is
+    the BLAS ddot that `e @ d` calls, for half the call overhead."""
+    segs, ends, seg_len = steps
+    inside = c * c * (1.0 - _INSIDE_MARGIN)
+    x0, x1 = segs[0][:2]
+    pts = [(x0, x1)]
     seg_idx = 0
     seg_u = 0.0  # fraction already consumed of the current segment
-    n_seg = chain.shape[0] - 1
+    n_seg = len(segs)
     for _ in range(hops):
-        x = pts[-1]
+        ahead_inside = True  # the part ahead starts at x
         placed = False
         while seg_idx < n_seg:
-            a = chain[seg_idx]
-            d = ds[seg_idx]
-            # |a + u d - x|^2 = c^2 for u in (seg_u, 1]
-            e = a - x
-            qa = qas[seg_idx]
-            qb = 2.0 * float(e @ d)
-            qc = float(e @ e) - c * c
+            if ahead_inside:
+                b0, b1, pad = ends[seg_idx]
+                if (b0 - x0) ** 2 + (b1 - x1) ** 2 + pad < inside:
+                    seg_idx += 1
+                    seg_u = 0.0
+                    continue
+                ahead_inside = False
+            a0, a1, d0, d1, d, qa = segs[seg_idx]
+            # |a + u d - x|^2 = c^2 for u in (seg_u, 1]; the first root is the smaller
+            e = np.array((a0 - x0, a1 - x1))
+            qb = 2.0 * float(e.dot(d))
+            qc = float(e.dot(e)) - c * c
             disc = qb * qb - 4.0 * qa * qc
-            root = None
             if qa > 0.0 and disc >= 0.0:
                 sq = math.sqrt(disc)
-                for u in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-                    if seg_u < u <= 1.0 + 1e-12:
-                        root = min(u, 1.0) if root is None else min(root, min(u, 1.0))
-            if root is not None:
-                seg_u = root
-                pts.append(a + root * d)
-                placed = True
-                break
+                u = (-qb - sq) / (2 * qa)
+                if not seg_u < u <= 1.0 + 1e-12:
+                    u = (-qb + sq) / (2 * qa)
+                if seg_u < u <= 1.0 + 1e-12:
+                    seg_u = min(u, 1.0)
+                    x0, x1 = a0 + seg_u * d0, a1 + seg_u * d1
+                    pts.append((x0, x1))
+                    placed = True
+                    break
             seg_idx += 1
             seg_u = 0.0
         if not placed:
@@ -179,6 +230,9 @@ def resample(points: np.ndarray, n: int, closed: bool = False) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise GeometryError(f"resample: need at least 2 points, got shape {pts.shape}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise GeometryError(f"resample: non-finite point at index {int(finite.argmin())}")
     if n < 2:
         raise GeometryError(f"resample: n must be >= 2, got {n}")
     chain = np.concatenate([pts, pts[:1]], axis=0) if closed else pts
@@ -195,14 +249,14 @@ def resample(points: np.ndarray, n: int, closed: bool = False) -> np.ndarray:
     steps = _chain_steps(chain)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        _, leftover = _walk_equal_chords(chain, steps, hops, mid)
+        _, leftover = _walk_equal_chords(steps, hops, mid)
         if leftover > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-15 * total:
             break
-    out, _ = _walk_equal_chords(chain, steps, hops, 0.5 * (lo + hi))
+    out, _ = _walk_equal_chords(steps, hops, 0.5 * (lo + hi))
     if out.shape[0] < hops + 1:
         out = np.concatenate([out, np.repeat(chain[-1:], hops + 1 - out.shape[0], axis=0)])
     if closed:

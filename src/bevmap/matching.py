@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,21 +81,6 @@ def _focal_class_cost(probs: np.ndarray, class_id: int, cfg: LossConfig) -> np.n
     pos = cfg.focal_alpha * np.power(1.0 - p, cfg.focal_gamma) * (-np.log(p + eps))
     neg = (1.0 - cfg.focal_alpha) * np.power(p, cfg.focal_gamma) * (-np.log(1.0 - p + eps))
     return pos - neg
-
-
-def pair_cost_with_ordering(
-    pred_logits: np.ndarray,
-    pred_points: np.ndarray,
-    gt: GtTarget,
-    cfg: LossConfig,
-) -> tuple[float, int]:
-    """Matching cost of one (query, GT) pair and the GT ordering that attains
-    it; points in normalized coordinates."""
-    probs = stable_sigmoid(np.asarray(pred_logits, dtype=np.float64)[None, :])
-    cls = float(_focal_class_cost(probs, gt.class_id, cfg)[0])
-    diffs = np.abs(pred_points[None, :, :] - gt.orderings).mean(axis=(1, 2))
-    ordering = int(diffs.argmin())
-    return cfg.lambda_cls * cls + cfg.lambda_pts * float(diffs[ordering]), ordering
 
 
 def cost_matrix(
@@ -195,22 +179,6 @@ def hungarian(cost: np.ndarray, orderings: np.ndarray | None = None) -> Assignme
         (r, c, int(orderings[r, c]) if orderings is not None else 0) for r, c in fixed
     ]
     return Assignment(pairs, _pairs_cost(cost, [(r, c) for r, c, _ in pairs]))
-
-
-def brute_force_assignment(cost: np.ndarray) -> float:
-    """Exhaustive-permutation minimum total cost; oracle for small matrices."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n, m = cost.shape
-    best = math.inf
-    if n <= m:
-        for perm in permutations(range(m), n):
-            total = math.fsum(cost[i, perm[i]] for i in range(n))
-            best = min(best, total)
-    else:
-        for perm in permutations(range(n), m):
-            total = math.fsum(cost[perm[j], j] for j in range(m))
-            best = min(best, total)
-    return best
 
 
 def match_layer(

@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 
@@ -281,6 +282,33 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
     rc = cli.main([command, *inputs, "--out", str(out), *TINY, *[a.format(**paths) for a in args]])
     assert rc == 2
     assert expected.format(**paths) in _one_line_error(capsys)
+    assert not (out / f"{command}_config.json").exists()
+
+
+@pytest.mark.parametrize("command,damage,expected", [
+    ("fit-priors", "truncate", "error (CliError): {scene}: malformed scene file (JSONDecodeError: "),
+    ("train", "truncate", "error (CliError): {scene}: malformed scene file (JSONDecodeError: "),
+    ("fit-priors", "nan", "error (CliError): {data}: element 0 has non-finite points; scenes.n_points is 8"),
+])
+def test_bad_scene_file_is_one_line(pipeline, tmp_path, capsys, command, damage, expected):
+    _, data, bank, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    scene = bad / "scenes" / "scene_00001.json"
+    text = scene.read_text()
+    if damage == "truncate":
+        scene.write_text(text[: len(text) // 2])
+    else:
+        doc = json.loads(text)
+        doc["elements"][0]["points"][3][1] = float("nan")
+        scene.write_text(json.dumps(doc))
+    inputs = {
+        "fit-priors": ["--scenes", str(bad), "--k", "4", "--n-pri", "4"],
+        "train": ["--data", str(bad), "--priors", bank, "--steps", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, "--out", str(out), *TINY]) == 2
+    assert expected.format(scene=scene, data=bad) in _one_line_error(capsys)
     assert not (out / f"{command}_config.json").exists()
 
 

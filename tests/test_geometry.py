@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevmap import geometry as geo
-from bevmap import synth
+from bevmap import priors, synth
 from bevmap.geometry import (
     BevExtent,
     DegenerateGeometryError,
@@ -143,6 +143,21 @@ def _reference_resample(points, n, closed=False):
     return out
 
 
+_SCENE_CFG = synth.SceneConfig(
+    n_points=20, divider_count=(3, 3), crossing_count=(2, 2), boundary_count=(2, 2),
+    divider_lanes=3, crossing_slots=2,
+)
+
+
+def _scenes_then_priors():
+    """Two generated scenes (14 resampled elements), then 6 prior shapes
+    abstracted from their elements, each resampled: fitted curves are dense
+    256-vertex chains in the unit square."""
+    scenes = [synth.generate_scene(_SCENE_CFG, seed) for seed in (7000, 7001)]
+    fit = priors.fit_clusters([e for s in scenes for e in s.elements], _SCENE_CFG.extent, 6, 0)
+    priors.abstract(fit.clusters, 6)
+
+
 def test_resample_bytes_equal_reference_on_generated_scenes(monkeypatch):
     calls = []
 
@@ -151,13 +166,10 @@ def test_resample_bytes_equal_reference_on_generated_scenes(monkeypatch):
         return resample(points, n, closed)
 
     monkeypatch.setattr(synth, "resample", recording)
-    cfg = synth.SceneConfig(
-        n_points=20, divider_count=(3, 3), crossing_count=(2, 2), boundary_count=(2, 2),
-        divider_lanes=3, crossing_slots=2,
-    )
-    for seed in (7000, 7001):
-        synth.generate_scene(cfg, seed)
-    assert len(calls) == 14 and {c for _, _, c in calls} == {False, True}
+    monkeypatch.setattr(priors, "resample", recording)
+    _scenes_then_priors()
+    assert len(calls) == 14 + 6 and {c for _, _, c in calls} == {False, True}
+    assert max(pts.shape[0] for pts, _, _ in calls[14:]) == 256
     for pts, n, closed in calls:
         assert resample(pts, n, closed).tobytes() == _reference_resample(pts, n, closed).tobytes()
 
@@ -173,6 +185,102 @@ def test_resample_bytes_equal_reference_on_random_chains():
         n = int(rng.integers(2, 25))
         closed = bool(k % 2)
         assert resample(pts, n, closed).tobytes() == _reference_resample(pts, n, closed).tobytes()
+
+
+def _assert_walk_equals_reference(chain, hops, c):
+    pts, leftover = geo._walk_equal_chords(geo._chain_steps(chain), hops, c)
+    ref, ref_leftover = _reference_walk(chain, chain[0], hops, c)
+    assert (pts.tobytes(), leftover) == (ref.tobytes(), ref_leftover), (chain.tolist(), hops, c)
+
+
+def _recorded_walks(run):
+    """(chain, hops, chord) of every walk that `resample` makes in `run()`:
+    each bisection mid and the final chord."""
+    chain_steps, walk = geo._chain_steps, geo._walk_equal_chords
+    chains, walks = {}, []
+
+    def recording_steps(chain):
+        steps = chain_steps(chain)
+        chains[id(steps)] = (chain, steps)  # holds steps, so its id stays unique
+        return steps
+
+    def recording_walk(steps, hops, c):
+        walks.append((chains[id(steps)][0], hops, c))
+        return walk(steps, hops, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_chain_steps", recording_steps)
+        mp.setattr(geo, "_walk_equal_chords", recording_walk)
+        run()
+    return walks
+
+
+def test_walk_bytes_equal_reference_at_every_bisection_mid():
+    walks = _recorded_walks(_scenes_then_priors)
+    assert len({id(chain) for chain, _, _ in walks}) == 14 + 6 and len(walks) > 900
+    for chain, hops, c in walks:
+        _assert_walk_equals_reference(chain, hops, c)
+
+
+def _random_chain(rng, k):
+    """Random walk, collinear back-and-forth or dense smooth chain, at a
+    scale of 1e-4 to 1e2 and an offset of up to 1e4, some with a repeated vertex."""
+    m = int(rng.integers(2, 40))
+    scale = 10.0 ** rng.uniform(-4, 2)
+    if k % 3 == 0:
+        steps = rng.normal(0.0, scale, (m, 2))
+    elif k % 3 == 1:
+        steps = np.outer(rng.uniform(-0.5, 1.0, m) * scale, rng.normal(size=2))
+    else:
+        t = np.linspace(0.0, 1.0, m + 40)[:, None]
+        steps = np.diff(scale * np.hstack([t, rng.normal() * t * t]), axis=0)
+    pts = rng.uniform(-1e4, 1e4, 2) + np.cumsum(steps, axis=0)
+    if k % 4 == 0:
+        pts = np.insert(pts, m // 2, pts[m // 2], axis=0)
+    return pts
+
+
+def test_walk_bytes_equal_reference_on_random_chains_and_boundary_chords():
+    rng = np.random.default_rng(11)
+    for k in range(60):
+        chain = _random_chain(rng, k)
+        total = float(np.linalg.norm(np.diff(chain, axis=0), axis=1).sum())
+        hops = int(rng.integers(1, 25))
+        chords = [f * total / hops for f in (0.3, 0.7, 0.99, 1.0)]
+        # chords that put a later vertex on the circle about a placed point,
+        # and one ulp either side: the skip test's boundary
+        placed, _ = _reference_walk(chain, chain[0], hops, chords[1])
+        for p in placed[:: max(1, len(placed) // 4)]:
+            nearest = int(np.linalg.norm(chain - p, axis=1).argmin())
+            for v in chain[nearest + 1 : nearest + 4]:
+                r = float(np.hypot(*(v - p)))
+                if r > 0.0:
+                    chords += [r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)]
+        for c in chords:
+            _assert_walk_equals_reference(chain, hops, c)
+
+
+@pytest.mark.parametrize("length,hops,c", [
+    (1.9229741707058658, 974, 0.001972281200723965),
+    (1.223318582299005, 905, 0.0013502412608134794),
+])
+def test_walk_keeps_the_exact_tests_tolerance_past_a_long_segment(length, hops, c):
+    # The exact test takes a root up to 1e-12 of a segment past its end.  At
+    # these chords the reference places hop hops+1 on the end vertex of a
+    # segment about hops chords long, though that vertex lies inside the
+    # circle by more than 1e-9 c^2; a skip margin blind to the segment's
+    # length would skip the segment and cross on the next one instead.
+    chain = np.array([[0.0, 0.0], [length, 0.0], [length, 1.0]])
+    ref, _ = _reference_walk(chain, chain[0], hops + 2, c)
+    assert np.array_equal(ref[hops + 1], chain[1])
+    assert (length - ref[hops, 0]) ** 2 < c * c * (1.0 - 1e-9)
+    _assert_walk_equals_reference(chain, hops + 2, c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_resample_rejects_non_finite_points(bad):
+    with pytest.raises(GeometryError, match="^resample: non-finite point at index 1$"):
+        resample(np.array([[0.0, 0.0], [bad, 1.0], [2.0, 2.0]]), 4)
 
 
 # --------------------------------------------------------------------------

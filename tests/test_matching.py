@@ -1,3 +1,6 @@
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +12,39 @@ from bevmap.losses import LossConfig
 from bevmap.matching import (
     Assignment,
     MatchingError,
-    brute_force_assignment,
     cost_matrix,
     gt_targets,
     hungarian,
     match_layer,
-    pair_cost_with_ordering,
     unstable_scores,
 )
+from bevmap.tensorad import stable_sigmoid
 
 EXT = BevExtent(0.0, 1.0, 0.0, 1.0, 4, 4)
+
+
+def pair_cost_with_ordering(pred_logits, pred_points, gt, cfg):
+    """Matching cost of one (query, GT) pair and the GT ordering that attains
+    it, one pair at a time: the per-pair reference for `cost_matrix`."""
+    probs = stable_sigmoid(np.asarray(pred_logits, dtype=np.float64)[None, :])
+    cls = float(mt._focal_class_cost(probs, gt.class_id, cfg)[0])
+    diffs = np.abs(pred_points[None, :, :] - gt.orderings).mean(axis=(1, 2))
+    ordering = int(diffs.argmin())
+    return cfg.lambda_cls * cls + cfg.lambda_pts * float(diffs[ordering]), ordering
+
+
+def brute_force_assignment(cost):
+    """Exhaustive-permutation minimum total cost; oracle for small matrices."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    best = math.inf
+    if n <= m:
+        for perm in permutations(range(m), n):
+            best = min(best, math.fsum(cost[i, perm[i]] for i in range(n)))
+    else:
+        for perm in permutations(range(n), m):
+            best = min(best, math.fsum(cost[perm[j], j] for j in range(m)))
+    return best
 
 
 def _gt_line(points):
