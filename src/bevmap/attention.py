@@ -221,14 +221,6 @@ def params_from_named(
 # --------------------------------------------------------------------------
 
 
-def _linear_rows(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """(T, Cin) @ (Cin, Cout) + bias."""
-    y = ta.matmul(x, w)
-    if b is not None:
-        y = ta.add_rows(y, b)
-    return y
-
-
 def _msda_stage(
     tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaStageParams, table: np.ndarray | None = None
 ) -> tuple[Tensor, Tensor]:
@@ -248,9 +240,9 @@ def _msda_stage(
     if ref.shape != (t_n, 2):
         raise ContractViolation(f"msda: ref shape {ref.shape} does not match tokens {tokens.shape}")
 
-    off = _linear_rows(tokens, stage.off_w, stage.off_b)  # (T, Nh*M*N*2)
+    off = ta.linear(tokens, stage.off_w, stage.off_b)  # (T, Nh*M*N*2)
     off = ta.reshape(off, (t_n, nh, m, n, 2))
-    atn = _linear_rows(tokens, stage.atn_w, stage.atn_b)  # (T, Nh*M*N)
+    atn = ta.linear(tokens, stage.atn_w, stage.atn_b)  # (T, Nh*M*N)
     atn = ta.softmax(ta.reshape(atn, (t_n, nh, m * n)), axis=-1)
     weights = ta.reshape(atn, (t_n, nh, m, n))
 
@@ -284,9 +276,9 @@ def _dmd(
     """
     table = ta.level_table(levels) if table is None else table
     out_ms, w_ms = _msda_stage(tokens, levels, ref, params.stage_ms, table)
-    q1 = _linear_rows(out_ms, params.lin1_w, params.lin1_b)
+    q1 = ta.linear(out_ms, params.lin1_w, params.lin1_b)
     out_sp, w_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp, table)
-    return ta.add(q1, _linear_rows(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
+    return ta.add(q1, ta.linear(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
 
 
 def msda(

@@ -192,30 +192,10 @@ def init_reference_points(
 # --------------------------------------------------------------------------
 
 
-def _linear_nd(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """Apply (Cin, Cout) weights over the trailing axis of an N-d tensor."""
-    lead = x.shape[:-1]
-    rows = int(np.prod(lead)) if lead else 1
-    y = ta.matmul(ta.reshape(x, (rows, x.shape[-1])), w)
-    if b is not None:
-        y = ta.add_rows(y, b)
-    return ta.reshape(y, lead + (w.shape[-1],))
-
-
-def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    normed = ta.layer_normalize(x, axis=-1)
-    return ta.add_rows(ta.scale_rows(normed, gain), bias)
-
-
 def _mha(
     q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict[str, Tensor], prefix: str, n_heads: int
 ) -> Tensor:
-    """Multi-head attention over (..., T, C) token sets (2-d or 3-d input)."""
-    squeeze = q_in.values.ndim == 2
-    if squeeze:
-        q_in = ta.reshape(q_in, (1,) + q_in.shape)
-        k_in = ta.reshape(k_in, (1,) + k_in.shape)
-        v_in = ta.reshape(v_in, (1,) + v_in.shape)
+    """Multi-head attention over (B, T, C) token sets."""
     b, t, c = q_in.shape
     tk = k_in.shape[1]
     d = c // n_heads
@@ -223,16 +203,13 @@ def _mha(
     def split(x: Tensor, length: int) -> Tensor:
         return ta.transpose(ta.reshape(x, (b, length, n_heads, d)), (0, 2, 1, 3))
 
-    q = split(_linear_nd(q_in, params[f"{prefix}.q.w"], params[f"{prefix}.q.b"]), t)
-    k = split(_linear_nd(k_in, params[f"{prefix}.k.w"], params[f"{prefix}.k.b"]), tk)
-    v = split(_linear_nd(v_in, params[f"{prefix}.v.w"], params[f"{prefix}.v.b"]), tk)
+    q = split(ta.linear(q_in, params[f"{prefix}.q.w"], params[f"{prefix}.q.b"]), t)
+    k = split(ta.linear(k_in, params[f"{prefix}.k.w"], params[f"{prefix}.k.b"]), tk)
+    v = split(ta.linear(v_in, params[f"{prefix}.v.w"], params[f"{prefix}.v.b"]), tk)
     scores = ta.scale(ta.matmul(q, ta.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
     attn = ta.softmax(scores, axis=-1)
     mixed = ta.reshape(ta.transpose(ta.matmul(attn, v), (0, 2, 1, 3)), (b, t, c))
-    out = _linear_nd(mixed, params[f"{prefix}.o.w"], params[f"{prefix}.o.b"])
-    if squeeze:
-        out = ta.reshape(out, (t, c))
-    return out
+    return ta.linear(mixed, params[f"{prefix}.o.w"], params[f"{prefix}.o.b"])
 
 
 def _check_finite(stage: str, x: Tensor) -> None:
@@ -257,23 +234,23 @@ def decoder_layer(
     p = f"layers.{layer}"
     n_i, n_p, c = query_state.shape
 
-    q_pos = _linear_nd(sinusoidal_pe(ref, c), params[f"{p}.pe.w"], params[f"{p}.pe.b"])
+    q_pos = ta.linear(sinusoidal_pe(ref, c), params[f"{p}.pe.w"], params[f"{p}.pe.b"])
     _check_finite("query position embedding", q_pos)
     q = query_state
 
     # instance-level self-attention on point-averaged tokens
     qp = ta.add(q, q_pos)
-    inst_qk = ta.reduce_mean(qp, axis=1)  # (N_I, C)
-    inst_v = ta.reduce_mean(q, axis=1)
+    inst_qk = ta.reshape(ta.reduce_mean(qp, axis=1), (1, n_i, c))  # one batch of N_I tokens
+    inst_v = ta.reshape(ta.reduce_mean(q, axis=1), (1, n_i, c))
     inst_out = _mha(inst_qk, inst_qk, inst_v, params, f"{p}.self_inst", cfg.n_heads)
     inst_out = ta.repeat_axis(ta.reshape(inst_out, (n_i, 1, c)), axis=1, times=n_p)
-    q = _ln_affine(ta.add(q, inst_out), params[f"{p}.self_inst.ln_g"], params[f"{p}.self_inst.ln_b"])
+    q = ta.layer_norm(ta.add(q, inst_out), params[f"{p}.self_inst.ln_g"], params[f"{p}.self_inst.ln_b"])
     _check_finite("instance self-attention", q)
 
     # point-level self-attention within each instance (batched over instances)
     qp = ta.add(q, q_pos)
     pts_out = _mha(qp, qp, q, params, f"{p}.self_pts", cfg.n_heads)
-    q = _ln_affine(ta.add(q, pts_out), params[f"{p}.self_pts.ln_g"], params[f"{p}.self_pts.ln_b"])
+    q = ta.layer_norm(ta.add(q, pts_out), params[f"{p}.self_pts.ln_g"], params[f"{p}.self_pts.ln_b"])
     _check_finite("point self-attention", q)
 
     # deformable cross-attention into the BEV pyramid, one reference per point
@@ -285,20 +262,20 @@ def decoder_layer(
     )
     cross = msda(tokens, pyramid_levels, ref_flat, cross_params, table)
     cross_out = ta.reshape(cross.output, (n_i, n_p, c))
-    q = _ln_affine(ta.add(q, cross_out), params[f"{p}.cross_ln_g"], params[f"{p}.cross_ln_b"])
+    q = ta.layer_norm(ta.add(q, cross_out), params[f"{p}.cross_ln_g"], params[f"{p}.cross_ln_b"])
     _check_finite("cross-attention", q)
 
-    hidden = ta.relu(_linear_nd(q, params[f"{p}.ffn1.w"], params[f"{p}.ffn1.b"]))
-    ffn_out = _linear_nd(hidden, params[f"{p}.ffn2.w"], params[f"{p}.ffn2.b"])
-    q = _ln_affine(ta.add(q, ffn_out), params[f"{p}.ffn_ln_g"], params[f"{p}.ffn_ln_b"])
+    hidden = ta.relu(ta.linear(q, params[f"{p}.ffn1.w"], params[f"{p}.ffn1.b"]))
+    ffn_out = ta.linear(hidden, params[f"{p}.ffn2.w"], params[f"{p}.ffn2.b"])
+    q = ta.layer_norm(ta.add(q, ffn_out), params[f"{p}.ffn_ln_g"], params[f"{p}.ffn_ln_b"])
     _check_finite("feed-forward", q)
 
     inst_state = ta.reduce_mean(q, axis=1)  # class per instance from pooled point states
-    cls_hidden = ta.relu(_linear_nd(inst_state, params[f"{p}.cls1.w"], params[f"{p}.cls1.b"]))
-    class_logits = _linear_nd(cls_hidden, params[f"{p}.cls2.w"], params[f"{p}.cls2.b"])
+    cls_hidden = ta.relu(ta.linear(inst_state, params[f"{p}.cls1.w"], params[f"{p}.cls1.b"]))
+    class_logits = ta.linear(cls_hidden, params[f"{p}.cls2.w"], params[f"{p}.cls2.b"])
 
-    reg_hidden = ta.relu(_linear_nd(q, params[f"{p}.reg1.w"], params[f"{p}.reg1.b"]))
-    offsets = _linear_nd(reg_hidden, params[f"{p}.reg2.w"], params[f"{p}.reg2.b"])
+    reg_hidden = ta.relu(ta.linear(q, params[f"{p}.reg1.w"], params[f"{p}.reg1.b"]))
+    offsets = ta.linear(reg_hidden, params[f"{p}.reg2.w"], params[f"{p}.reg2.b"])
     refined = ta.sigmoid(ta.add(ta.inverse_sigmoid(ref), offsets))
     _check_finite("point regression", refined)
 

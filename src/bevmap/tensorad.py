@@ -30,7 +30,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "GradMap",
-    "registered_primitives",
     "backward",
     "grad_check",
     "active_tape",
@@ -38,12 +37,13 @@ __all__ = [
     "subtract",
     "multiply",
     "matmul",
+    "linear",
     "softmax",
     "relu",
     "sigmoid",
     "stable_sigmoid",
     "inverse_sigmoid",
-    "layer_normalize",
+    "layer_norm",
     "concat",
     "slice_axis",
     "reduce_sum",
@@ -64,7 +64,6 @@ __all__ = [
     "softplus",
     "power",
     "add_rows",
-    "scale_rows",
 ]
 
 
@@ -231,10 +230,6 @@ def _register(kind: str, fwd: Callable, bwd: Callable) -> None:
     _BACKWARD[kind] = bwd
 
 
-def registered_primitives() -> list[str]:
-    return sorted(_FORWARD)
-
-
 def _apply(kind: str, inputs: Sequence[Tensor], params: dict) -> Tensor:
     arrays = [t.values for t in inputs]
     out, ctx = _FORWARD[kind](arrays, params)
@@ -399,6 +394,25 @@ def _matmul_grads(a, b, g):
 _register("matmul", _fwd_matmul, lambda node, g: _matmul_grads(*node.ctx, g))
 
 
+def _fwd_linear(ins, p):
+    x, w, b = ins
+    _require(w.ndim == 2 and x.shape[-1:] == w.shape[:1] and b.shape == w.shape[1:],
+             f"linear: {x.shape} @ {w.shape} + {b.shape} do not align on the trailing axis")
+    x2 = x.reshape(-1, w.shape[0])
+    y = x2 @ w
+    y += b
+    return y.reshape(x.shape[:-1] + w.shape[1:]), (x.shape, x2, w)
+
+
+def _bwd_linear(node, g):
+    shape, x2, w = node.ctx
+    g2 = g.reshape(x2.shape[0], w.shape[1])
+    return [(g2 @ w.T).reshape(shape), x2.T @ g2, g2.sum(axis=0)]
+
+
+_register("linear", _fwd_linear, _bwd_linear)
+
+
 def _fwd_softmax(ins, p):
     (x,) = ins
     axis = p["axis"] % x.ndim
@@ -457,25 +471,27 @@ def _bwd_inverse_sigmoid(node, g):
 _register("inverse_sigmoid", _fwd_inverse_sigmoid, _bwd_inverse_sigmoid)
 
 
-def _fwd_layer_normalize(ins, p):
-    (x,) = ins
-    axis = p.get("axis", -1) % x.ndim
-    eps = p.get("eps", 1e-5)
-    mu = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+def _fwd_layer_norm(ins, p):
+    x, gain, bias = ins
+    _require(gain.shape == bias.shape == x.shape[-1:],
+             f"layer_norm: gain {gain.shape} and bias {bias.shape} must match the trailing axis of {x.shape}")
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
-    return xhat, (xhat, inv, axis)
+    return xhat * gain + bias, (xhat, inv, gain)
 
 
-def _bwd_layer_normalize(node, g):
-    xhat, inv, axis = node.ctx
-    gm = g.mean(axis=axis, keepdims=True)
-    gx = (g * xhat).mean(axis=axis, keepdims=True)
-    return [inv * (g - gm - xhat * gx)]
+def _bwd_layer_norm(node, g):
+    xhat, inv, gain = node.ctx
+    lead = tuple(range(g.ndim - 1))
+    g_hat = g * gain
+    gm = g_hat.mean(axis=-1, keepdims=True)
+    gx = (g_hat * xhat).mean(axis=-1, keepdims=True)
+    return [inv * (g_hat - gm - xhat * gx), (g * xhat).sum(axis=lead), g.sum(axis=lead)]
 
 
-_register("layer_normalize", _fwd_layer_normalize, _bwd_layer_normalize)
+_register("layer_norm", _fwd_layer_norm, _bwd_layer_norm)
 
 
 def _fwd_concat(ins, p):
@@ -709,22 +725,6 @@ def _bwd_add_rows(node, g):
 _register("add_rows", _fwd_add_rows, _bwd_add_rows)
 
 
-def _fwd_scale_rows(ins, p):
-    x, b = ins
-    _require(b.ndim == 1 and x.shape[-1] == b.shape[0],
-             f"scale_rows: trailing dim of {x.shape} must match vector {b.shape}")
-    return x * b, (x, b)
-
-
-def _bwd_scale_rows(node, g):
-    x, b = node.ctx
-    axes = tuple(range(x.ndim - 1))
-    return [g * b, (g * x).sum(axis=axes)]
-
-
-_register("scale_rows", _fwd_scale_rows, _bwd_scale_rows)
-
-
 def _fwd_power(ins, p):
     (x,) = ins
     exponent = p["exponent"]
@@ -942,6 +942,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply("matmul", [a, b], {})
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the trailing axis of an N-d x, with w (C_in, C_out) and b (C_out,)."""
+    return _apply("linear", [x, w, b], {})
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _apply("softmax", [x], {"axis": axis})
 
@@ -958,8 +963,9 @@ def inverse_sigmoid(x: Tensor, margin: float = 1e-6) -> Tensor:
     return _apply("inverse_sigmoid", [x], {"margin": margin})
 
 
-def layer_normalize(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    return _apply("layer_normalize", [x], {"axis": axis, "eps": eps})
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the trailing axis (eps 1e-5), then scale by gain and shift by bias."""
+    return _apply("layer_norm", [x, gain, bias], {})
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -1068,8 +1074,3 @@ def power(x: Tensor, exponent: float) -> Tensor:
 def add_rows(x: Tensor, b: Tensor) -> Tensor:
     """Add a vector to the trailing axis of every row (explicit bias add)."""
     return _apply("add_rows", [x, b], {})
-
-
-def scale_rows(x: Tensor, b: Tensor) -> Tensor:
-    """Multiply the trailing axis of every row by a vector (explicit gain)."""
-    return _apply("scale_rows", [x, b], {})

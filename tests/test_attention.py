@@ -165,8 +165,8 @@ def _per_level_stage(tokens, levels, ref, stage, table=None):
     ignores `table`, which `_dmd` passes."""
     t_n = tokens.shape[0]
     nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
-    off = ta.reshape(att._linear_rows(tokens, stage.off_w, stage.off_b), (t_n, nh, m, n, 2))
-    atn = att._linear_rows(tokens, stage.atn_w, stage.atn_b)
+    off = ta.reshape(ta.linear(tokens, stage.off_w, stage.off_b), (t_n, nh, m, n, 2))
+    atn = ta.linear(tokens, stage.atn_w, stage.atn_b)
     atn = ta.softmax(ta.reshape(atn, (t_n, nh, m * n)), axis=-1)
     weights = ta.reshape(atn, (t_n, nh, m, n))
     ref_e = ta.repeat_axis(ta.reshape(ref, (t_n, 1, 1, 2)), axis=1, times=nh)
@@ -294,12 +294,12 @@ def test_dmd_two_stage_composition_oracle():
     params = init_msda_params(VARIANT_SCALE_THEN_SAMPLE, 2, 1, 1, 16, seed=13)
     out = msda(Tensor(q), [Tensor(lv[0])], Tensor(r), params).output.values
 
-    from bevmap.attention import _linear_rows, _msda_stage
+    from bevmap.attention import _msda_stage
 
     stage1, _ = _msda_stage(Tensor(q), [Tensor(lv[0])], Tensor(r), params.stage_ms)
-    q1 = _linear_rows(stage1, params.lin1_w, params.lin1_b)
+    q1 = ta.linear(stage1, params.lin1_w, params.lin1_b)
     stage2, _ = _msda_stage(q1, [Tensor(lv[0])], Tensor(r), params.stage_sp)
-    expected = ta.add(q1, _linear_rows(stage2, params.lin2_w, params.lin2_b)).values
+    expected = ta.add(q1, ta.linear(stage2, params.lin2_w, params.lin2_b)).values
     assert np.allclose(out, expected, atol=1e-12)
 
 

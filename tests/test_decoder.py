@@ -1,9 +1,11 @@
+import collections
 import threading
 
 import numpy as np
 import pytest
 
 from bevmap import tensorad as ta
+from bevmap.attention import VARIANT_SCALE_THEN_SAMPLE, VARIANT_VANILLA
 from bevmap.config import RunConfig
 from bevmap.decoder import (
     DecoderConfig,
@@ -143,7 +145,7 @@ def test_zero_regression_head_keeps_references():
 
 
 def test_residual_passthrough_with_zeroed_block_outputs():
-    from bevmap.decoder import _ln_affine, _mha
+    from bevmap.decoder import _mha
 
     cfg = _tiny_cfg()
     params = init_model_params(cfg, seed=8)
@@ -151,13 +153,26 @@ def test_residual_passthrough_with_zeroed_block_outputs():
     params[f"{prefix}.o.w"] = Tensor(np.zeros((16, 16)))
     params[f"{prefix}.o.b"] = Tensor(np.zeros(16))
     rng = np.random.default_rng(9)
-    tokens = Tensor(rng.normal(size=(6, 16)))
+    tokens = Tensor(rng.normal(size=(1, 6, 16)))
     out = _mha(tokens, tokens, tokens, params, prefix, cfg.n_heads)
     assert np.abs(out.values).max() == 0.0
     # residual + LN: the sublayer output equals LN(q) exactly
-    combined = _ln_affine(ta.add(tokens, out), params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
-    direct = ta.layer_normalize(tokens)
+    combined = ta.layer_norm(ta.add(tokens, out), params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
+    direct = ta.layer_norm(tokens, Tensor(np.ones(16)), Tensor(np.zeros(16)))
     assert np.allclose(combined.values, direct.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant,cross_linears", [(VARIANT_SCALE_THEN_SAMPLE, 6), (VARIANT_VANILLA, 2)])
+def test_each_affine_map_and_layer_norm_is_one_tape_node(variant, cross_linears):
+    # per layer: the PE, 4 + 4 self-attention projections, 2 FFN and 4 head
+    # linears, the cross-attention's linears, and 4 layer norms
+    cfg = _tiny_cfg(variant=variant)
+    with Tape() as tape:
+        forward(init_model_params(cfg, seed=8), _bank(2, 8), _levels(16), cfg)
+    kinds = collections.Counter(node.kind for node in tape.nodes)
+    assert kinds["add_rows"] == 0
+    assert kinds["layer_norm"] == 4 * cfg.n_layers
+    assert kinds["linear"] == (15 + cross_linears) * cfg.n_layers
 
 
 def test_per_layer_pe_maps_are_independent():

@@ -237,10 +237,15 @@ def _case_inverse_sigmoid(rng):
     return lambda v: ta.reduce_sum(ta.multiply(ta.inverse_sigmoid(v), ta.inverse_sigmoid(v))), [x]
 
 
-def _case_layer_normalize(rng):
-    x = rng.normal(size=(3, 6))
-    w = rng.normal(size=(3, 6))
-    return lambda v: ta.reduce_sum(ta.multiply(ta.layer_normalize(v), Tensor(w))), [x]
+def _case_linear(rng):
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    return lambda v, u, c: ta.reduce_sum(ta.multiply(ta.linear(v, u, c), ta.linear(v, u, c))), [x, w, b]
+
+
+def _case_layer_norm(rng):
+    x, gain, bias = rng.normal(size=(2, 3, 6)), rng.normal(size=6), rng.normal(size=6)
+    w = rng.normal(size=(2, 3, 6))
+    return lambda v, u, c: ta.reduce_sum(ta.multiply(ta.layer_norm(v, u, c), Tensor(w))), [x, gain, bias]
 
 
 def _case_concat(rng):
@@ -344,21 +349,17 @@ def _case_add_rows(rng):
     return lambda v, u: ta.reduce_sum(ta.multiply(ta.add_rows(v, u), ta.add_rows(v, u))), [x, b]
 
 
-def _case_scale_rows(rng):
-    x, b = rng.normal(size=(4, 3)), rng.normal(size=3)
-    return lambda v, u: ta.reduce_sum(ta.multiply(ta.scale_rows(v, u), ta.scale_rows(v, u))), [x, b]
-
-
 _PRIMITIVE_CASES = {
     "add": _case_add,
     "subtract": _case_subtract,
     "multiply": _case_multiply,
     "matmul": _case_matmul,
+    "linear": _case_linear,
     "softmax": _case_softmax,
     "relu": _case_relu,
     "sigmoid": _case_sigmoid,
     "inverse_sigmoid": _case_inverse_sigmoid,
-    "layer_normalize": _case_layer_normalize,
+    "layer_norm": _case_layer_norm,
     "concat": _case_concat,
     "slice": _case_slice,
     "reduce_sum": _case_reduce_sum,
@@ -376,13 +377,12 @@ _PRIMITIVE_CASES = {
     "softplus": _case_softplus,
     "power": _case_power,
     "add_rows": _case_add_rows,
-    "scale_rows": _case_scale_rows,
     "sample_levels": _case_sample_levels,
 }
 
 
 def test_every_registered_primitive_has_a_gradcheck_case():
-    assert set(ta.registered_primitives()) == set(_PRIMITIVE_CASES)
+    assert set(ta._FORWARD) == set(_PRIMITIVE_CASES)
 
 
 @pytest.mark.parametrize("kind", sorted(_PRIMITIVE_CASES))
@@ -399,6 +399,95 @@ def test_grad_check_reports_inf_on_non_finite():
         return ta.reduce_sum(ta.scale(x, math.inf))
 
     assert ta.grad_check(f, [Tensor([1.0])]) == math.inf
+
+
+# --------------------------------------------------------------------------
+# Affine primitives: byte-identical to the primitive chains they replace
+# --------------------------------------------------------------------------
+
+
+def _linear_chain(x, w, b, g):
+    """reshape -> matmul -> add_rows -> reshape, forward and backward as those
+    primitives compute them, for upstream gradient g.  Returns the output and
+    the gradients of x, w and b."""
+    x2 = x.reshape(-1, x.shape[-1])
+    y = (x2 @ w + b).reshape(x.shape[:-1] + (w.shape[1],))
+    g2 = g.reshape(x2.shape[0], w.shape[1])
+    return y, (g2 @ np.swapaxes(w, -1, -2)).reshape(x.shape), np.swapaxes(x2, -1, -2) @ g2, g2.sum(axis=(0,))
+
+
+def _layer_norm_chain(x, gain, bias, g):
+    """layer normalization (eps 1e-5) -> scale by gain -> add bias, forward and
+    backward as three primitives computed them, for upstream gradient g.
+    Returns the output and the gradients of x, gain and bias."""
+    axis, lead = x.ndim - 1, tuple(range(x.ndim - 1))
+    inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + 1e-5)
+    xhat = (x - x.mean(axis=axis, keepdims=True)) * inv
+    y = xhat * gain + bias
+    g_bias, g_hat, g_gain = g.sum(axis=lead), g * gain, (g * xhat).sum(axis=lead)
+    gm = g_hat.mean(axis=axis, keepdims=True)
+    gx = (g_hat * xhat).mean(axis=axis, keepdims=True)
+    return y, inv * (g_hat - gm - xhat * gx), g_gain, g_bias
+
+
+def _tape_output_and_grads(fn, arrays, g):
+    with Tape() as tape:
+        tensors = [Tensor(a) for a in arrays]
+        out = fn(*tensors)
+        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(out, Tensor(g))))
+    return [out.values] + [grads.of(t) for t in tensors]
+
+
+def _assert_bytes_equal(got, want, names):
+    assert len(got) == len(want) == len(names)
+    for name, a, b in zip(names, got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("x_shape", [(7, 24), (1, 9, 24), (12, 20, 24)])
+def test_linear_bytes_equal_matmul_chain(x_shape):
+    rng = np.random.default_rng(sum(x_shape))
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=(24, 40)), rng.normal(size=40)
+    g = rng.normal(size=x_shape[:-1] + (40,))
+    got = _tape_output_and_grads(ta.linear, [x, w, b], g)
+    _assert_bytes_equal(got, _linear_chain(x, w, b, g), ["output", "x grad", "w grad", "b grad"])
+
+
+def test_linear_input_read_by_two_calls_sums_both_gradients_bytes():
+    # as attention's query and key projections both read one token set
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 20, 16))
+    wq, wk = rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
+    bq, bk = rng.normal(size=16), rng.normal(size=16)
+    gq, gk = rng.normal(size=(6, 20, 16)), rng.normal(size=(6, 20, 16))
+
+    def two_projections(xv, wqv, bqv, wkv, bkv):
+        return ta.concat([ta.linear(xv, wqv, bqv), ta.linear(xv, wkv, bkv)], axis=0)
+
+    got = _tape_output_and_grads(two_projections, [x, wq, bq, wk, bk], np.concatenate([gq, gk]))
+    yq, gxq, gwq, gbq = _linear_chain(x, wq, bq, gq)
+    yk, gxk, gwk, gbk = _linear_chain(x, wk, bk, gk)
+    want = [np.concatenate([yq, yk]), gxk + gxq, gwq, gbq, gwk, gbk]
+    _assert_bytes_equal(got, want, ["output", "x grad", "wq grad", "bq grad", "wk grad", "bk grad"])
+
+
+@pytest.mark.parametrize("x_shape", [(7, 16), (6, 20, 16)])
+def test_layer_norm_bytes_equal_normalize_scale_shift_chain(x_shape):
+    rng = np.random.default_rng(sum(x_shape))
+    x, gain, bias = rng.normal(size=x_shape), rng.normal(size=16), rng.normal(size=16)
+    g = rng.normal(size=x_shape)
+    got = _tape_output_and_grads(ta.layer_norm, [x, gain, bias], g)
+    _assert_bytes_equal(got, _layer_norm_chain(x, gain, bias, g), ["output", "x grad", "gain grad", "bias grad"])
+
+
+@pytest.mark.parametrize("fn,shapes,match", [
+    (ta.linear, [(3, 4), (5, 2), (2,)], "linear: .* do not align"),
+    (ta.linear, [(3, 4), (4, 2), (3,)], "linear: .* do not align"),
+    (ta.layer_norm, [(3, 4), (4,), (3,)], "layer_norm: gain"),
+])
+def test_affine_primitives_refuse_misaligned_parameters(fn, shapes, match):
+    with pytest.raises(ContractViolation, match=match):
+        fn(*[Tensor(np.zeros(s)) for s in shapes])
 
 
 # --------------------------------------------------------------------------
