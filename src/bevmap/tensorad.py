@@ -9,9 +9,11 @@ which keeps the attention wiring free of silent shape bugs.
 A tape is rebuilt on every forward pass.  Each op node keeps only what its
 backward reads (its input ids and backward context), not its output, so an
 activation is freed as soon as no caller and no backward context holds it.
-`backward` walks the tape once in reverse and returns a `GradMap` of leaf
-gradients.  `grad_check` compares analytic gradients against central finite
-differences.
+Tensors link to their tape weakly, so a tape, and every backward context on
+it, is freed with its `with` block: a tensor that outlives the step, such as
+a parameter the caller keeps, pins no tape.  `backward` walks the tape once
+in reverse and returns a `GradMap` of leaf gradients.  `grad_check` compares
+analytic gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -77,11 +79,16 @@ class ContractViolation(ValueError):
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally linked to a node on a tape."""
+    """Immutable dense float64 array, optionally linked to a node on a tape.
+
+    The link is the tape's own weak reference (`Tape._ref`), compared by
+    identity: it keeps no tape alive, and a dead tape's link still differs
+    from every other tape's.
+    """
 
     __slots__ = ("values", "_tape", "_nid")
 
-    def __init__(self, values, _tape: "Tape | None" = None, _nid: int | None = None):
+    def __init__(self, values, _tape: "weakref.ref[Tape] | None" = None, _nid: int | None = None):
         arr = np.asarray(values, dtype=np.float64)
         self.values = arr
         self._tape = _tape
@@ -162,6 +169,8 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._leaf_ids: set[int] = set()
+        self._ref = weakref.ref(self)  # the one link every tensor on this tape holds
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -176,11 +185,12 @@ class Tape:
 
     def _ensure(self, t: Tensor) -> int:
         """Node id of `t` on this tape, registering it as a leaf if needed."""
-        if t._tape is self and t._nid is not None:
+        if t._tape is self._ref and t._nid is not None:
             return t._nid
         nid = len(self.nodes)
         self.nodes.append(Node("leaf", (), ()))
-        t._tape = self
+        self._leaf_ids.add(nid)
+        t._tape = self._ref
         t._nid = nid
         return nid
 
@@ -195,20 +205,23 @@ class GradMap(dict):
 
     `backward` keeps leaf gradients only: each intermediate gradient is freed
     as soon as its node's backward has consumed it.  A leaf the output does
-    not depend on has no entry; `of` returns zeros for it.  The map holds a
-    weak reference to its tape, so it keeps no tape alive, yet a tensor since
-    relinked to another tape is refused rather than read under a foreign id.
+    not depend on has no entry; `of` returns zeros for it.  Like a tensor, the
+    map links to its tape weakly and keeps no tape alive: the tape is freed
+    with its `with` block.  It keeps the tape's leaf ids instead, so after the
+    tape has died it still refuses an intermediate, and a tensor since relinked
+    to another tape is refused rather than read under a foreign id.
     """
 
     def __init__(self, tape: "Tape"):
         super().__init__()
-        self._tape = weakref.ref(tape)
+        self._tape = tape._ref
+        self._leaf_ids = tape._leaf_ids
 
     def of(self, t: Tensor) -> np.ndarray:
         """Gradient for a leaf recorded on the tape this map came from (zeros if unreached)."""
-        if t._tape is not None and t._tape is not self._tape():
+        if t._tape is not None and t._tape is not self._tape:
             raise ContractViolation("GradMap.of: tensor is recorded on another tape than this map's")
-        if t._tape is not None and t._tape.nodes[t._nid].kind != "leaf":
+        if t._tape is not None and t._nid not in self._leaf_ids:
             raise ContractViolation("GradMap.of: tensor is an intermediate; backward keeps leaf gradients only")
         if t._nid in self:
             return self[t._nid]
@@ -237,12 +250,12 @@ def _apply(kind: str, inputs: Sequence[Tensor], params: dict) -> Tensor:
     if tape is None:
         return Tensor(out)
     ids = [tape._ensure(t) for t in inputs]
-    return Tensor(out, tape, tape._record(kind, ids, ctx))
+    return Tensor(out, tape._ref, tape._record(kind, ids, ctx))
 
 
 def backward(tape: Tape, output: Tensor) -> GradMap:
     """Reverse sweep from a scalar output tensor; returns leaf gradients only."""
-    if output._tape is not tape or output._nid is None:
+    if output._tape is not tape._ref or output._nid is None:
         raise ContractViolation("backward: output tensor is not recorded on this tape")
     if output.size != 1:
         raise ContractViolation(f"backward: output must be scalar-shaped, got shape {output.shape}")
@@ -429,10 +442,11 @@ def _bwd_softmax(node, g):
 
 _register("softmax", _fwd_softmax, _bwd_softmax)
 
+# the backward reads only the sign test, kept as a bool mask: 1/8 of x's bytes
 _register(
     "relu",
-    lambda ins, p: (np.maximum(ins[0], 0.0), (ins[0],)),
-    lambda node, g: [g * (node.ctx[0] > 0)],
+    lambda ins, p: (np.maximum(ins[0], 0.0), (ins[0] > 0,)),
+    lambda node, g: [g * node.ctx[0]],
 )
 
 

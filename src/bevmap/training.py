@@ -186,7 +186,6 @@ def train(
             if not np.isfinite(loss.values).all():
                 raise TrainingDiverged(step)
             grads = ta.backward(tape, loss)
-            del loss  # it links this tape, which must die before the next forward records
 
         for name in names:
             g = grads.of(params[name])

@@ -140,6 +140,51 @@ def test_gradmap_refuses_a_tensor_relinked_to_another_tape():
     assert np.array_equal(g_a.of(a), [5.0])
 
 
+def test_gradmap_refuses_an_intermediate_of_a_dead_tape():
+    with Tape() as tape:
+        x = Tensor([1.0, -2.0])
+        h = ta.relu(x)
+        f = ta.reduce_sum(h)
+        grads = ta.backward(tape, f)
+    dead = weakref.ref(tape)
+    del tape  # x, h, f and the map outlive the tape but link it weakly
+    assert dead() is None
+    assert np.array_equal(grads.of(x), [1.0, 0.0])
+    for intermediate in (h, f):
+        with pytest.raises(ContractViolation, match="intermediate"):
+            grads.of(intermediate)
+
+
+def test_gradmap_refuses_a_tensor_relinked_to_a_tape_since_dead():
+    a, b = Tensor([2.0]), Tensor([5.0])
+    with Tape() as t_a:
+        g_a = ta.backward(t_a, ta.reduce_sum(ta.multiply(a, b)))
+    with Tape() as t_b:
+        ta.relu(b)  # relinks b to t_b, where its node id is a's
+    dead = weakref.ref(t_b)
+    del t_b
+    assert dead() is None
+    with pytest.raises(ContractViolation, match="another tape"):
+        g_a.of(b)
+    assert np.array_equal(g_a.of(a), [5.0])
+
+
+def test_relu_keeps_a_sign_mask_and_its_backward_bytes_equal_upstream_times_sign():
+    x = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 2.5, -1.5, 5e-324, -5e-324])
+    g = -np.array([1.0, 2.0, 3.0, 0.0, np.inf, 4.0, 0.5, 7.0, np.inf, 0.25])
+    with Tape() as tape:
+        xt = Tensor(x)
+        y = ta.relu(xt)
+        (mask,) = tape.nodes[y._nid].ctx
+        with np.errstate(invalid="ignore"):  # g * 0 is nan where g is -inf
+            grads = ta.backward(tape, ta.reduce_sum(ta.multiply(y, Tensor(g))))
+            want = g * (x > 0)
+    assert mask.dtype == np.bool_ and mask.shape == x.shape
+    assert y.values.tobytes() == np.maximum(x, 0.0).tobytes()
+    got = grads.of(xt)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_tape_frees_op_outputs_its_backward_does_not_read():
     with Tape() as tape:
         x = Tensor(np.ones(4))

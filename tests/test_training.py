@@ -96,6 +96,24 @@ def test_each_step_frees_its_tape_before_the_next_forward(world, monkeypatch):
     assert alive_at_forward == [[], [False], [False, False]]
 
 
+def test_params_kept_by_the_caller_pin_no_tape(world, monkeypatch):
+    # the caller's tensors were the step's leaves; their links to its tape are weak
+    scenes, dcfg, dataset, bank = world
+    tapes = []
+    total_loss = training.total_loss
+
+    def recording_loss(*args, **kwargs):
+        tapes.append(weakref.ref(ta.active_tape()))
+        return total_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "total_loss", recording_loss)
+    tcfg = TrainConfig(steps=1, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
+    params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
+    result = train(dict(params), eff_bank, dataset, eff_cfg, tcfg)
+    assert params and result.params
+    assert len(tapes) == 1 and tapes[0]() is None
+
+
 def test_modes_differ_only_through_reference_path(world):
     scenes, dcfg, dataset, bank = world
     tcfg_p = TrainConfig(steps=1, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
