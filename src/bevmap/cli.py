@@ -47,6 +47,7 @@ from .tensorad import ContractViolation
 from .training import (
     Checkpoint,
     CheckpointError,
+    TrainingDiverged,
     build_dataset,
     final_epoch_mean,
     load_checkpoint,
@@ -216,7 +217,10 @@ def cmd_train(cfg: RunConfig) -> None:
     _snapshot(cfg, "train")
 
     params, eff_bank, eff_cfg = setup_run(cfg.decoder_cfg, bank, cfg.train_cfg, init_sd=cfg.decoder.init_sd)
-    result = train(params, eff_bank, dataset, eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
+    try:
+        result = train(params, eff_bank, dataset, eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
+    except TrainingDiverged as e:
+        raise CliError(f"training diverged: {e}") from e
 
     out_dir = cfg.io.out_dir
     save_checkpoint(

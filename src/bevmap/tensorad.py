@@ -11,9 +11,11 @@ backward reads (its input ids and backward context), not its output, so an
 activation is freed as soon as no caller and no backward context holds it.
 Tensors link to their tape weakly, so a tape, and every backward context on
 it, is freed with its `with` block: a tensor that outlives the step, such as
-a parameter the caller keeps, pins no tape.  `backward` walks the tape once
-in reverse and returns a `GradMap` of leaf gradients.  `grad_check` compares
-analytic gradients against central finite differences.
+a parameter the caller keeps, pins no tape.  `backward` walks the tape in
+reverse, frees each node's context as soon as its rule has run, and returns
+a `GradMap` of leaf gradients; so a tape is swept once, and a second sweep is
+refused.  `grad_check` compares analytic gradients against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -171,6 +173,7 @@ class Tape:
         self.nodes: list[Node] = []
         self._leaf_ids: set[int] = set()
         self._ref = weakref.ref(self)  # the one link every tensor on this tape holds
+        self._swept = False  # backward frees each context it consumed
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -254,11 +257,18 @@ def _apply(kind: str, inputs: Sequence[Tensor], params: dict) -> Tensor:
 
 
 def backward(tape: Tape, output: Tensor) -> GradMap:
-    """Reverse sweep from a scalar output tensor; returns leaf gradients only."""
+    """Reverse sweep from a scalar output tensor; returns leaf gradients only.
+
+    Each node's backward context is freed once its rule has run, so a tape
+    can be swept only once.
+    """
     if output._tape is not tape._ref or output._nid is None:
         raise ContractViolation("backward: output tensor is not recorded on this tape")
     if output.size != 1:
         raise ContractViolation(f"backward: output must be scalar-shaped, got shape {output.shape}")
+    if tape._swept:
+        raise ContractViolation("backward: this tape was swept already; record a new tape")
+    tape._swept = True
     out_id = output._nid
     grads = GradMap(tape)
     grads[out_id] = np.ones(output.shape)
@@ -273,6 +283,7 @@ def backward(tape: Tape, output: Tensor) -> GradMap:
         if node.kind == "leaf":
             continue
         input_grads = _BACKWARD[node.kind](node, grads.pop(nid))
+        node.ctx = None
         for inp, g in zip(node.inputs, input_grads):
             if g is None:
                 continue
@@ -400,11 +411,12 @@ def _fwd_matmul(ins, p):
     return a @ b, (a, b)
 
 
-def _matmul_grads(a, b, g):
+def _bwd_matmul(node, g):
+    a, b = node.ctx
     return [g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g]
 
 
-_register("matmul", _fwd_matmul, lambda node, g: _matmul_grads(*node.ctx, g))
+_register("matmul", _fwd_matmul, _bwd_matmul)
 
 
 def _fwd_linear(ins, p):
@@ -771,19 +783,25 @@ _register("power", _fwd_power, _bwd_power)
 # reference): training is chaotic in rounding, so a reordered sum grows
 # into a different model within a few dozen steps.
 #
-# A call of at least _PARALLEL_VALUES sampled values (Nh*T*M*N*C) runs head
-# by head on a pool of one thread per usable CPU; numpy, scipy's sparse
-# product and BLAS release the GIL.  A head's block is the same row products
-# and the same dgemm as the one-thread path, so the bytes do not depend on
-# the path.  Smaller calls (the C=32 training shapes make at most ~1.0 M
-# values) stay on the calling thread, where hand-offs cost more than they
-# save.  This module is the only one in the package that starts threads.
+# A forward call of at least _PARALLEL_VALUES sampled values (Nh*T*M*N*C)
+# runs head by head on a pool of one thread per usable CPU; numpy, scipy's
+# sparse product and BLAS release the GIL.  A head's block is the same row
+# products and the same dgemm as the one-thread path, so the bytes do not
+# depend on the path.  Smaller forward calls (the C=32 training shapes make
+# at most ~1.0 M values) stay on the calling thread, where hand-offs cost
+# more than they save.
+#
+# The samples are the widest array a call makes, and the backward reads them
+# only for val_w's gradient, so the tape keeps the blend matrix instead.  At
+# every size the backward hands the pool the forward's own CSR product and
+# val_w's gradient, while the calling thread computes the level and point
+# gradients.  This module is the only one in the package that starts threads.
 # --------------------------------------------------------------------------
 
 _PARALLEL_VALUES = 2**21
 _DOT_ROWS = 1024  # samples per gathered block in the backward's corner dots
 _WORKERS = len(os.sched_getaffinity(0))
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="bevmap")  # threads start with the first large call
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="bevmap")  # threads start with the first hand-off
 
 
 def _bilinear_pieces(grid: np.ndarray, pts: np.ndarray):
@@ -873,22 +891,16 @@ def _fwd_sample_levels(ins, p):
     blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * nh * rows + 1, 4)),
                          shape=(nh * rows, table.shape[0]))
     if nh * rows * c < _PARALLEL_VALUES:
-        s = (blend @ table).reshape(nh, rows, c)
-        out = s @ val_w
+        out = (blend @ table).reshape(nh, rows, c) @ val_w
     else:
-        # the backward reads the samples; with no tape recording, a head's
-        # samples live only inside its block
-        s = np.empty((nh, rows, c)) if active_tape() is not None else None
         out = np.empty((nh, rows, val_w.shape[2]))
 
         def head(h):
-            s_h = blend[h * rows : (h + 1) * rows] @ table
-            if s is not None:
-                s[h] = s_h
-            np.matmul(s_h, val_w[h], out=out[h])
+            np.matmul(blend[h * rows : (h + 1) * rows] @ table, val_w[h], out=out[h])
 
         list(_POOL.map(head, range(nh)))
-    return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces, s, val_w)
+    # the samples are not kept: the backward recomputes them from `blend`
+    return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces, blend, val_w)
 
 
 def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_l: np.ndarray) -> np.ndarray:
@@ -910,9 +922,15 @@ def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_l: np.ndarray) -> np
 
 
 def _bwd_sample_levels(node, g):
-    (t, nh, n), shapes, table, offsets, pieces, s, val_w = node.ctx
-    g_s, g_val_w = _matmul_grads(s, val_w, g)
-    g_s = g_s.reshape(nh, t, len(shapes), n, -1)
+    (t, nh, n), shapes, table, offsets, pieces, blend, val_w = node.ctx
+
+    def val_w_grad():
+        # the forward's samples, recomputed by its own CSR product
+        s = (blend @ table).reshape(nh, -1, table.shape[1])
+        return np.swapaxes(s, -1, -2) @ g
+
+    g_val_w = _POOL.submit(val_w_grad)
+    g_s = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, len(shapes), n, -1)
     g_levels, g_pts = [], []
     for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
         # this level's upstream rows, back in (query, head, point) sample order
@@ -929,7 +947,7 @@ def _bwd_sample_levels(node, g):
         d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
         d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
         g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
-    return g_levels + g_pts + [g_val_w]
+    return g_levels + g_pts + [g_val_w.result()]
 
 
 _register("sample_levels", _fwd_sample_levels, _bwd_sample_levels)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorad as ta
-from .decoder import DecoderConfig, forward, init_model_params
+from .decoder import DecoderConfig, NumericalError, forward, init_model_params
 from .geometry import Scene
 from .losses import LossConfig, total_loss
 from .matching import Assignment, GtTarget, gt_targets, unstable_scores
@@ -34,8 +35,8 @@ CHECKPOINT_FORMAT = 1
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, what: str = "non-finite loss"):
+        super().__init__(f"{what} at step {step}")
         self.step = step
 
 
@@ -54,6 +55,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not (type(self.lr) in (int, float) and math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         if self.optimizer not in ("adagrad", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.prior_mode not in (PRIOR_MODE_PRIOR, PRIOR_MODE_RANDOM):
@@ -179,10 +182,13 @@ def train(
         item = dataset[order.pop()]
 
         with ta.Tape() as tape:
-            loss, breakdown, assignments = _training_step_loss(
-                params, bank, item, decoder_cfg, loss_cfg,
-                noise_rng=noise_rng, noise_sd=train_cfg.feature_noise_sd,
-            )
+            try:
+                loss, breakdown, assignments = _training_step_loss(
+                    params, bank, item, decoder_cfg, loss_cfg,
+                    noise_rng=noise_rng, noise_sd=train_cfg.feature_noise_sd,
+                )
+            except NumericalError as e:
+                raise TrainingDiverged(step, str(e)) from e
             if not np.isfinite(loss.values).all():
                 raise TrainingDiverged(step)
             grads = ta.backward(tape, loss)

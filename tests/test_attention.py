@@ -240,11 +240,15 @@ class _CountingPool:
     """Runs on the sampler's pool and counts the calls handed to it."""
 
     def __init__(self, pool):
-        self.pool, self.maps = pool, 0
+        self.pool, self.maps, self.submits = pool, 0, 0
 
     def map(self, fn, items):
         self.maps += 1
         return self.pool.map(fn, items)
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        return self.pool.submit(fn, *args)
 
 
 def _msda_forward_bytes(variant, heads, m, n, seed):
@@ -264,7 +268,7 @@ def test_pooled_head_blocks_bytes_equal_one_thread_path(monkeypatch, variant, m,
     monkeypatch.setattr(ta, "_POOL", pool)
     monkeypatch.setattr(ta, "_PARALLEL_VALUES", 0)  # every call and table goes to the pool
     pooled = _msda_bytes(variant, heads, m, n, seed)
-    assert pool.maps > 0
+    assert pool.maps > 0 and pool.submits > 0
     names = ["output", "tokens", "ref"] + [f"level {i}" for i in range(m)] + list(
         att.named_parameters(init_msda_params(variant, heads, m, n, 16, seed=0)))
     assert len(pooled) == len(inline) == len(names)

@@ -7,6 +7,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,11 @@ def _one_line_error(capsys) -> str:
     ("train", ["--set", "features.noise_sd=-1"],
      "error (ConfigError): features: noise_sd must be a finite number >= 0, got -1"),
     ("eval", ["--checkpoint", "{no_features}"], "error (CliError): {no_features}: _meta records no features"),
+    ("train", ["--set", "train.lr=nan"], "error (ConfigError): lr must be a finite number > 0, got 'nan'"),
+    ("train", ["--set", "train.lr=NaN"], "error (ConfigError): lr must be a finite number > 0, got nan"),
+    ("train", ["--set", "train.lr=-1"], "error (ConfigError): lr must be a finite number > 0, got -1"),
+    ("train", ["--set", "train.lr=0"], "error (ConfigError): lr must be a finite number > 0, got 0"),
+    ("train", ["--set", 'train.lr="0.1"'], "error (ConfigError): lr must be a finite number > 0, got '0.1'"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
@@ -283,6 +289,18 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
     assert rc == 2
     assert expected.format(**paths) in _one_line_error(capsys)
     assert not (out / f"{command}_config.json").exists()
+
+
+def test_diverging_train_is_one_line_cli_error(pipeline, tmp_path, capsys):
+    root, data, bank, run_dir = pipeline
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = cli.main(["train", "--data", data, "--priors", bank, "--steps", "3", "--out", str(tmp_path),
+                       "--set", "train.optimizer=sgd", "--set", "train.lr=1e300", *TINY])
+    assert rc == 2
+    assert ("error (CliError): training diverged: non-finite values after stage 'instance self-attention'"
+            " at step 1") in _one_line_error(capsys)
+    assert not (tmp_path / "checkpoint.npz").exists()
 
 
 @pytest.mark.parametrize("command,damage,expected", [

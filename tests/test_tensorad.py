@@ -196,6 +196,42 @@ def test_tape_frees_op_outputs_its_backward_does_not_read():
         assert np.array_equal(ta.backward(tape, f).of(x), np.full(4, 2.0))
 
 
+def test_backward_sweeps_a_tape_once():
+    with Tape() as tape:
+        x = Tensor(np.ones(3))
+        h = ta.multiply(x, x)
+        ta.backward(tape, ta.reduce_sum(h))
+        for out in (ta.reduce_sum(h), ta.reduce_mean(h)):
+            with pytest.raises(ContractViolation, match="swept already; record a new tape"):
+                ta.backward(tape, out)
+
+
+def _arrays(obj):
+    """Every array reachable from a backward context, sparse parts included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "indptr"):
+        yield from (obj.data, obj.indices, obj.indptr)
+
+
+def test_sample_levels_node_keeps_no_samples_and_backward_frees_every_context():
+    rng = np.random.default_rng(8)
+    t, nh, n, c = 5, 2, 3, 6
+    levels = [Tensor(rng.normal(size=(c, 4, 5))), Tensor(rng.normal(size=(c, 2, 3)))]
+    pts = [Tensor(rng.uniform(-0.1, 1.1, size=(t, nh, n, 2))) for _ in levels]
+    val_w = Tensor(rng.normal(size=(nh, c, 3)))
+    with Tape() as tape:
+        out = ta.sample_levels(levels, pts, val_w)
+        ctx = tape.nodes[out._nid].ctx
+        sizes = {a.size for a in _arrays(ctx)}
+        assert sizes and nh * t * len(levels) * n * c not in sizes
+        ta.backward(tape, ta.reduce_sum(ta.multiply(ta.relu(out), out)))
+    assert all(node.ctx is None for node in tape.nodes if node.kind != "leaf")
+
+
 def test_sum_of_losses_gradients_add():
     rng = np.random.default_rng(3)
     xv = rng.normal(size=(3, 3))

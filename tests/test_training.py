@@ -49,19 +49,30 @@ def test_overfit_single_scene(world):
     assert last < 0.10 * first, f"loss {first:.3f} -> {last:.3f}"
 
 
-def test_divergence_aborts_with_step_index(world):
+def _diverge(world, lr):
     import warnings
 
     from bevmap.training import TrainingDiverged
 
     scenes, dcfg, dataset, bank = world
-    tcfg = TrainConfig(steps=200, lr=500.0, optimizer="sgd", seed=1, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=200, lr=lr, optimizer="sgd", seed=1, prior_mode=PRIOR_MODE_PRIOR)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises((TrainingDiverged, Exception)) as exc:
+        with pytest.raises(TrainingDiverged) as exc:
             train(params, eff_bank, dataset[:1], eff_cfg, tcfg)
-    assert "step" in str(exc.value) or "stage" in str(exc.value)
+    assert 1 <= exc.value.step < tcfg.steps
+    return exc.value
+
+
+def test_divergence_aborts_with_step_index(world):
+    err = _diverge(world, 500.0)  # the loss goes non-finite before any decoder stage
+    assert str(err) == f"non-finite loss at step {err.step}"
+
+
+def test_divergence_in_a_decoder_stage_names_the_stage_and_step(world):
+    err = _diverge(world, 1e300)
+    assert str(err) == f"non-finite values after stage 'instance self-attention' at step {err.step}"
 
 
 def test_training_deterministic(world):
