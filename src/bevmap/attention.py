@@ -322,7 +322,7 @@ def benchmark_attention(
     variants: Sequence[str],
     repeats: int = 100,
     channels: int = 256,
-    num_heads: int = 8,
+    n_heads: int = 8,
     num_levels: int = 3,
     num_points: int = 4,
     queries: int = 1000,
@@ -342,7 +342,7 @@ def benchmark_attention(
     ref = Tensor(rng.uniform(0.05, 0.95, (queries, 2)))
     rows = []
     for variant in variants:
-        params = init_msda_params(variant, num_heads, num_levels, num_points, channels, seed)
+        params = init_msda_params(variant, n_heads, num_levels, num_points, channels, seed)
         for _ in range(warmup):
             msda(tokens, levels, ref, params)
         times = []

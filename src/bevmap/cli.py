@@ -29,10 +29,10 @@ import numpy as np
 from .attention import VARIANT_SCALE_THEN_SAMPLE, VARIANT_VANILLA, benchmark_attention
 from .config import (
     ConfigError,
-    DecoderSection,
     RunConfig,
     apply_overrides,
     config_to_dict,
+    model_keys,
     override_doc,
     read_overrides,
     save_config,
@@ -130,15 +130,7 @@ def _check_grid(dataset, pos_shape: tuple, where: str) -> None:
 
 
 def _feature_dataset(scenes: list[Scene], cfg: RunConfig):
-    f = cfg.features
-    return build_dataset(
-        scenes,
-        channels=f.channels,
-        num_levels=f.num_levels,
-        seed=cfg.seed,
-        truncation=f.truncation,
-        feature_noise_sd=f.noise_sd,
-    )
+    return build_dataset(scenes, seed=cfg.seed, **dataclasses.asdict(cfg.features))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +210,9 @@ def cmd_train(cfg: RunConfig) -> None:
 
     params, eff_bank, eff_cfg = setup_run(cfg.decoder_cfg, bank, cfg.train_cfg, init_sd=cfg.decoder.init_sd)
     try:
-        result = train(params, eff_bank, dataset, eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
+        # a diverging run is reported as one CliError, not also as numpy warnings
+        with np.errstate(all="ignore"):
+            result = train(params, eff_bank, dataset, eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
     except TrainingDiverged as e:
         raise CliError(f"training diverged: {e}") from e
 
@@ -319,16 +313,7 @@ def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
     _snapshot(cfg, "bench-attn")
     try:
         rows = benchmark_attention(
-            [BENCH_VARIANTS[v] for v in variants],
-            repeats=cfg.bench.repeats,
-            channels=cfg.bench.channels,
-            num_heads=cfg.bench.n_heads,
-            num_levels=cfg.bench.num_levels,
-            num_points=cfg.bench.num_points,
-            queries=cfg.bench.queries,
-            h=cfg.bench.h,
-            w=cfg.bench.w,
-            seed=cfg.seed,
+            [BENCH_VARIANTS[v] for v in variants], seed=cfg.seed, **dataclasses.asdict(cfg.bench)
         )
     except ContractViolation as e:
         raise CliError(f"bench config: {e}") from e
@@ -371,10 +356,8 @@ def _eval_config(args) -> tuple[RunConfig, Checkpoint]:
         ckpt = load_checkpoint(path)
     except CheckpointError as e:
         raise CliError(str(e)) from e
-    model = dataclasses.asdict(ckpt.decoder_cfg)
-    pinned = {f"decoder.{k}": v for k, v in model.items() if hasattr(DecoderSection, k)}
+    pinned = model_keys(ckpt.decoder_cfg)
     pinned.update({f"features.{k}": v for k, v in ckpt.features.items()})
-    pinned["scenes.n_points"] = model["n_points"]
     cfg = apply_overrides(RunConfig(), [f"{k}={json.dumps(v)}" for k, v in pinned.items()] + overrides)
     for key, value in pinned.items():
         actual = functools.reduce(getattr, key.split("."), cfg)

@@ -3,6 +3,11 @@
 The scenes and loss sections are the module configs themselves; RunConfig
 builds the decoder and training configs from its sections, so every module
 check runs while the config is parsed and a bad value is a ConfigError.
+Naming rule: a section's field has the name of the parameter it sets in the
+function or dataclass the section configures (TrainConfig, DecoderConfig,
+build_dataset, benchmark_attention), so a section is passed on whole as
+`**dataclasses.asdict(section)`.  MODEL_KEYS maps each DecoderConfig field
+to its run key, in both directions; three of them live in other sections.
 Parsing is strict: unknown keys are hard errors so a typo never silently
 falls back to a default.  An effective
 snapshot of the resolved config is written next to every command's
@@ -12,6 +17,7 @@ artifacts, and rerunning from that snapshot reproduces the run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -64,6 +70,21 @@ class DecoderSection:
     variant: str = VARIANT_SCALE_THEN_SAMPLE
     num_points_attn: int = 4
     init_sd: float = 0.02
+
+    def __post_init__(self):
+        sd = self.init_sd
+        if not (type(sd) in (int, float) and math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"init_sd must be a finite number >= 0, got {sd!r}")
+
+
+# Each DecoderConfig field and the run key that sets it: the decoder field of
+# its name, or one that another section holds.  n_classes is fixed.
+MODEL_KEYS = {
+    **{f.name: f"decoder.{f.name}" for f in fields(DecoderSection) if f.name != "init_sd"},
+    "n_points": "scenes.n_points",
+    "channels": "features.channels",
+    "num_levels": "features.num_levels",
+}
 
 
 @dataclass
@@ -131,29 +152,15 @@ class RunConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # The module configs the sections describe; building them here runs
         # their own checks while the config is parsed.
-        d = self.decoder
         self.decoder_cfg = DecoderConfig(
-            n_instances=d.n_instances,
-            n_prior=d.n_prior,
-            n_points=self.scenes.n_points,
-            channels=self.features.channels,
-            n_layers=d.n_layers,
-            n_heads=d.n_heads,
-            ffn_dim=d.ffn_dim,
-            head_hidden=d.head_hidden,
-            variant=d.variant,
-            num_levels=self.features.num_levels,
-            num_points_attn=d.num_points_attn,
+            **{name: functools.reduce(getattr, key.split("."), self) for name, key in MODEL_KEYS.items()}
         )
-        t = self.train
-        self.train_cfg = TrainConfig(
-            steps=t.steps,
-            lr=t.lr,
-            optimizer=t.optimizer,
-            seed=self.seed,
-            prior_mode=t.prior_mode,
-            feature_noise_sd=t.feature_noise_sd,
-        )
+        self.train_cfg = TrainConfig(seed=self.seed, **dataclasses.asdict(self.train))
+
+
+def model_keys(decoder_cfg: DecoderConfig) -> dict[str, Any]:
+    """The run keys that give `decoder_cfg`, with its values."""
+    return {key: getattr(decoder_cfg, name) for name, key in MODEL_KEYS.items()}
 
 
 # --------------------------------------------------------------------------

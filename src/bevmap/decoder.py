@@ -156,6 +156,19 @@ def assemble_queries(q_ins: Tensor, q_pts: Tensor) -> Tensor:
     return ta.add(ins, pts)
 
 
+def check_bank(bank: PriorBank | None, cfg: DecoderConfig) -> None:
+    """A ContractViolation unless `bank` holds the n_prior shapes of n_points
+    points that `cfg` needs; with n_prior = 0 any bank, or none, will do."""
+    if cfg.n_prior == 0:
+        return
+    if bank is None:
+        raise ContractViolation("decoder configured with priors but no bank supplied")
+    if bank.n_pri < cfg.n_prior:
+        raise ContractViolation(f"prior bank holds {bank.n_pri} shapes, decoder needs {cfg.n_prior}")
+    if bank.n_p != cfg.n_points:
+        raise ContractViolation(f"prior bank shapes have {bank.n_p} points, decoder expects {cfg.n_points}")
+
+
 def init_reference_points(
     bank: PriorBank | None,
     cfg: DecoderConfig,
@@ -164,26 +177,15 @@ def init_reference_points(
     """Layer-0 reference points, (N_I, N_P, 2) normalized: bank shapes verbatim
     for the first n_prior instances (constants, no gradient), sigmoid of
     learnable logits for the rest."""
-    n_prior = cfg.n_prior if bank is not None else 0
-    if n_prior > 0:
-        if bank.n_pri < n_prior:
-            raise ContractViolation(
-                f"prior bank holds {bank.n_pri} shapes, decoder needs {n_prior}"
-            )
-        if bank.n_p != cfg.n_points:
-            raise ContractViolation(
-                f"prior bank shapes have {bank.n_p} points, decoder expects {cfg.n_points}"
-            )
+    check_bank(bank, cfg)
     logits = params["ref_logits"]
     expected = (cfg.n_instances - cfg.n_prior, cfg.n_points, 2)
     if logits.shape != expected:
         raise ContractViolation(f"ref_logits shape {logits.shape}, expected {expected}")
     learnable = ta.sigmoid(logits)
-    if n_prior == 0:
-        if cfg.n_prior != 0:
-            raise ContractViolation("decoder configured with priors but no bank supplied")
+    if cfg.n_prior == 0:
         return learnable
-    prior = Tensor(np.stack([bank.priors[i].points for i in range(n_prior)]))
+    prior = Tensor(np.stack([bank.priors[i].points for i in range(cfg.n_prior)]))
     return ta.concat([prior, learnable], axis=0)
 
 

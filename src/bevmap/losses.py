@@ -13,6 +13,7 @@ With fewer than two instances L_dist is zero; an empty mask scores zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,19 @@ class LossConfig:
     focal_gamma: float = 2.0
 
     def __post_init__(self):
-        if min(self.lambda_var, self.lambda_dist, self.lambda_cls, self.lambda_pts, self.lambda_disc) < 0:
-            raise LossConfigError("loss weights must be >= 0")
-        if not self.delta_d > 2.0 * self.delta_v:
+        weights = (self.lambda_var, self.lambda_dist, self.lambda_cls, self.lambda_pts, self.lambda_disc)
+        if not all(0 <= w < math.inf for w in weights):
+            raise LossConfigError(f"loss weights must be finite numbers >= 0, got {weights}")
+        if not 0 <= self.delta_v < math.inf:
+            raise LossConfigError(f"delta_v must be a finite number >= 0, got {self.delta_v!r}")
+        if not 2.0 * self.delta_v < self.delta_d < math.inf:
             raise LossConfigError(
                 f"delta_d ({self.delta_d}) must exceed 2 * delta_v ({self.delta_v}) for a usable margin"
             )
+        if not 0 <= self.focal_alpha <= 1:
+            raise LossConfigError(f"focal_alpha must be in [0, 1], got {self.focal_alpha!r}")
+        if not 0 <= self.focal_gamma < math.inf:
+            raise LossConfigError(f"focal_gamma must be a finite number >= 0, got {self.focal_gamma!r}")
 
 
 # --------------------------------------------------------------------------

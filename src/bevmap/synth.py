@@ -7,6 +7,7 @@ sees a dense signal that actually correlates with element geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +63,16 @@ class SceneConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise GenerationError(f"{name} range ({lo}, {hi}) invalid")
-        if self.noise_sd < 0:
-            raise GenerationError("noise_sd must be >= 0")
-        if self.crossing_size[0] <= 0 or self.crossing_size[1] < self.crossing_size[0]:
+        for name in ("lane_jitter", "slot_jitter", "boundary_margin", "noise_sd"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise GenerationError(f"{name} must be a finite number >= 0, got {value!r}")
+        lo, hi = self.crossing_size
+        if not 0 < lo <= hi < math.inf:
             raise GenerationError(f"crossing_size range {self.crossing_size} invalid")
+        lo, hi = self.divider_curvature
+        if not -math.inf < lo <= hi < math.inf:
+            raise GenerationError(f"divider_curvature range {self.divider_curvature} invalid")
         lo, hi = self.divider_span
         if not (0.1 <= lo <= hi <= 1.0):
             raise GenerationError(f"divider_span range {self.divider_span} invalid")

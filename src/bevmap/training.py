@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .decoder import DecoderConfig, NumericalError, forward, init_model_params
+from .decoder import DecoderConfig, NumericalError, check_bank, forward, init_model_params
 from .geometry import Scene
 from .losses import LossConfig, total_loss
 from .matching import Assignment, GtTarget, gt_targets, unstable_scores
@@ -61,8 +61,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.prior_mode not in (PRIOR_MODE_PRIOR, PRIOR_MODE_RANDOM):
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
-        if self.feature_noise_sd < 0:
-            raise ValueError("feature_noise_sd must be >= 0")
+        sd = self.feature_noise_sd
+        if not (type(sd) in (int, float) and math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"feature_noise_sd must be a finite number >= 0, got {sd!r}")
 
 
 @dataclass
@@ -79,14 +80,12 @@ def build_dataset(
     num_levels: int,
     seed: int,
     truncation: float = 3.0,
-    feature_noise_sd: float = 0.01,
+    noise_sd: float = 0.01,
 ) -> list[TrainScene]:
     """Precompute pyramids, instance masks, and matching targets per scene."""
     out = []
     for idx, scene in enumerate(scenes):
-        pyramid = render_bev(
-            scene, channels, num_levels, seed=seed + idx, truncation=truncation, noise_sd=feature_noise_sd
-        )
+        pyramid = render_bev(scene, channels, num_levels, seed=seed + idx, truncation=truncation, noise_sd=noise_sd)
         mask = rasterize_instances(scene)
         out.append(TrainScene(scene, pyramid, mask, gt_targets(scene.elements, scene.extent)))
     return out
@@ -130,8 +129,6 @@ def project_pyramid(levels: list[np.ndarray], params: dict[str, Tensor]) -> list
 class TrainResult:
     params: dict[str, Tensor]
     log: list[dict]
-    decoder_cfg: DecoderConfig
-    bank: PriorBank | None
 
 
 def _training_step_loss(
@@ -210,7 +207,7 @@ def train(
         row["u_t"] = stability.u_t
         log.append(row)
 
-    return TrainResult(params, log, decoder_cfg, bank)
+    return TrainResult(params, log)
 
 
 def setup_run(
@@ -305,4 +302,27 @@ def load_checkpoint(path: str) -> Checkpoint:
         ckpt.dataset_fingerprint = meta["dataset_fingerprint"]
     except (json.JSONDecodeError, KeyError, TypeError, ContractViolation, BankParseError) as e:
         raise CheckpointError(f"{path}: malformed _meta entry ({type(e).__name__}: {e})") from e
+    _check_fit(ckpt, path)
     return ckpt
+
+
+def _check_fit(ckpt: Checkpoint, path: str) -> None:
+    """A CheckpointError unless the params and the bank are the ones the
+    decoder config in _meta needs; the grid of `adapter.pos` is checked
+    against the data it meets."""
+    cfg = ckpt.decoder_cfg
+    try:
+        check_bank(ckpt.bank, cfg)
+    except ContractViolation as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    want = {name: t.shape for name, t in init_model_params(cfg, 0).items()}
+    want.update({"adapter.w": (cfg.channels, cfg.channels), "adapter.b": (cfg.channels,)})
+    want["adapter.pos"] = ckpt["adapter.pos"].shape if "adapter.pos" in ckpt else None
+    for name in sorted(want.keys() | ckpt.keys()):
+        if name not in ckpt:
+            raise CheckpointError(f"{path}: no parameter {name}, which the decoder in _meta needs")
+        if name not in want:
+            raise CheckpointError(f"{path}: parameter {name} is not one the decoder in _meta has")
+        if ckpt[name].shape != want[name]:
+            raise CheckpointError(f"{path}: parameter {name} has shape {ckpt[name].shape}, "
+                                  f"the decoder in _meta needs {want[name]}")

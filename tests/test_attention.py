@@ -365,7 +365,7 @@ def test_default_decoder_variant_is_scale_then_sample():
 def test_benchmark_rows_shape():
     rows = att.benchmark_attention(
         [VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE],
-        repeats=3, channels=16, num_heads=2, num_levels=2, num_points=2,
+        repeats=3, channels=16, n_heads=2, num_levels=2, num_points=2,
         queries=20, h=16, w=8, seed=0, warmup=1,
     )
     assert [r["variant"] for r in rows] == [VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE]

@@ -7,14 +7,14 @@ import pickle
 import shutil
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 from bevmap import cli
 from bevmap.attention import ALL_VARIANTS
-from bevmap.config import ConfigError, RunConfig, apply_overrides, config_from_dict, config_to_dict
+from bevmap.config import ConfigError, RunConfig, apply_overrides, config_from_dict, config_to_dict, model_keys
+from bevmap.decoder import DecoderConfig
 
 
 TINY = [
@@ -201,6 +201,26 @@ def test_object_override_merges_into_its_section():
         apply_overrides(RunConfig(), ["scenes=5"])
 
 
+def test_model_keys_name_each_decoder_field_once():
+    keys = model_keys(RunConfig().decoder_cfg)
+    assert len(keys) == len(dataclasses.fields(DecoderConfig)) - 1  # all but n_classes, each its own key
+    defaults = config_to_dict(RunConfig())
+    for key, value in keys.items():
+        assert functools.reduce(dict.__getitem__, key.split("."), defaults) == value
+
+
+@pytest.mark.parametrize("overrides", [[], [
+    "decoder.n_instances=12", "decoder.n_prior=3", "scenes.n_points=8", "features.channels=24",
+    "decoder.n_layers=2", "decoder.n_heads=3", "decoder.ffn_dim=40", "decoder.head_hidden=20",
+    'decoder.variant="vanilla"', "features.num_levels=3", "decoder.num_points_attn=2",
+]])
+def test_model_keys_give_back_the_decoder_config(overrides):
+    cfg = apply_overrides(RunConfig(), overrides)
+    assert not overrides or {o.split("=")[0] for o in overrides} == set(model_keys(cfg.decoder_cfg))
+    again = apply_overrides(RunConfig(), [f"{k}={json.dumps(v)}" for k, v in model_keys(cfg.decoder_cfg).items()])
+    assert again.decoder_cfg == cfg.decoder_cfg
+
+
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
@@ -249,6 +269,34 @@ def _one_line_error(capsys) -> str:
     ("train", ["--set", "train.lr=-1"], "error (ConfigError): lr must be a finite number > 0, got -1"),
     ("train", ["--set", "train.lr=0"], "error (ConfigError): lr must be a finite number > 0, got 0"),
     ("train", ["--set", 'train.lr="0.1"'], "error (ConfigError): lr must be a finite number > 0, got '0.1'"),
+    ("train", ["--set", "train.feature_noise_sd=NaN"],
+     "error (ConfigError): feature_noise_sd must be a finite number >= 0, got nan"),
+    ("gen-data", ["--set", "scenes.noise_sd=NaN"],
+     "error (ConfigError): scenes: noise_sd must be a finite number >= 0, got nan"),
+    ("gen-data", ["--set", "scenes.lane_jitter=NaN"],
+     "error (ConfigError): scenes: lane_jitter must be a finite number >= 0, got nan"),
+    ("gen-data", ["--set", "scenes.slot_jitter=NaN"],
+     "error (ConfigError): scenes: slot_jitter must be a finite number >= 0, got nan"),
+    ("gen-data", ["--set", "scenes.boundary_margin=NaN"],
+     "error (ConfigError): scenes: boundary_margin must be a finite number >= 0, got nan"),
+    ("gen-data", ["--set", "scenes.crossing_size=[NaN,NaN]"],
+     "error (ConfigError): scenes: crossing_size range [nan, nan] invalid"),
+    ("gen-data", ["--set", "scenes.divider_curvature=[NaN,NaN]"],
+     "error (ConfigError): scenes: divider_curvature range [nan, nan] invalid"),
+    ("train", ["--set", "loss.lambda_pts=NaN"],
+     "error (ConfigError): loss: loss weights must be finite numbers >= 0"),
+    ("train", ["--set", "loss.focal_gamma=NaN"],
+     "error (ConfigError): loss: focal_gamma must be a finite number >= 0, got nan"),
+    ("train", ["--set", "decoder.init_sd=-1"],
+     "error (ConfigError): decoder: init_sd must be a finite number >= 0, got -1"),
+    ("eval", ["--checkpoint", "{few_priors}"],
+     "error (CliError): {few_priors}: prior bank holds 3 shapes, decoder needs 4"),
+    ("eval", ["--checkpoint", "{no_ffn}"],
+     "error (CliError): {no_ffn}: no parameter layers.1.ffn1.w, which the decoder in _meta needs"),
+    ("eval", ["--checkpoint", "{no_pos}"],
+     "error (CliError): {no_pos}: no parameter adapter.pos, which the decoder in _meta needs"),
+    ("eval", ["--checkpoint", "{short_q}"],
+     "error (CliError): {short_q}: parameter q_ins has shape (3, 16), the decoder in _meta needs (8, 16)"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
@@ -264,6 +312,10 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
         "not_json": str(tmp_path / "not_json.npz"),
         "no_format": str(tmp_path / "no_format.npz"),
         "no_features": str(tmp_path / "no_features.npz"),
+        "few_priors": str(tmp_path / "few_priors.npz"),
+        "no_ffn": str(tmp_path / "no_ffn.npz"),
+        "no_pos": str(tmp_path / "no_pos.npz"),
+        "short_q": str(tmp_path / "short_q.npz"),
     }
     (tmp_path / "bank.json").write_text(json.dumps({"priors": 3}))
     (tmp_path / "pickle.npz").write_bytes(pickle.dumps({"a": 1}))
@@ -278,6 +330,12 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
     np.savez(paths["no_format"], **{**arrays, "_meta": np.array(json.dumps(meta))})
     meta = {**json.loads(str(arrays["_meta"])), "features": None}
     np.savez(paths["no_features"], **{**arrays, "_meta": np.array(json.dumps(meta))})
+    meta = json.loads(str(arrays["_meta"]))
+    meta["bank"].update(n_pri=3, priors=meta["bank"]["priors"][:3])
+    np.savez(paths["few_priors"], **{**arrays, "_meta": np.array(json.dumps(meta))})
+    np.savez(paths["no_ffn"], **{k: v for k, v in arrays.items() if k != "layers.1.ffn1.w"})
+    np.savez(paths["no_pos"], **{k: v for k, v in arrays.items() if k != "adapter.pos"})
+    np.savez(paths["short_q"], **{**arrays, "q_ins": np.zeros((3, 16))})
     inputs = {
         "gen-data": [],
         "fit-priors": ["--scenes", data, "--k", "4", "--n-pri", "4"],
@@ -291,15 +349,22 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
     assert not (out / f"{command}_config.json").exists()
 
 
-def test_diverging_train_is_one_line_cli_error(pipeline, tmp_path, capsys):
+def _src_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_diverging_train_is_one_line_cli_error(pipeline, tmp_path):
+    # in a subprocess, so that numpy's warnings reach stderr as they do for a user
     root, data, bank, run_dir = pipeline
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = cli.main(["train", "--data", data, "--priors", bank, "--steps", "3", "--out", str(tmp_path),
-                       "--set", "train.optimizer=sgd", "--set", "train.lr=1e300", *TINY])
-    assert rc == 2
-    assert ("error (CliError): training diverged: non-finite values after stage 'instance self-attention'"
-            " at step 1") in _one_line_error(capsys)
+    args = ["train", "--data", data, "--priors", bank, "--steps", "3", "--out", str(tmp_path),
+            "--set", "train.optimizer=sgd", "--set", "train.lr=1e300", *TINY]
+    result = subprocess.run([sys.executable, "-m", "bevmap.cli", *args], env=_src_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == ("error (CliError): training diverged: non-finite values after stage "
+                             "'instance self-attention' at step 1\n")
     assert not (tmp_path / "checkpoint.npz").exists()
 
 
@@ -412,11 +477,9 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @pytest.mark.parametrize("user_value,expected", [(None, "1"), ("2", "2")])
 def test_cli_pins_blas_threads_unless_the_user_set_them(user_value, expected):
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env = {k: v for k, v in _src_env().items() if k not in _BLAS_VARS}
     if user_value is not None:
         env.update(dict.fromkeys(_BLAS_VARS, user_value))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     code = f"import os, bevmap.cli; print(*(os.environ[v] for v in {_BLAS_VARS!r}))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.split() == [expected] * 3
