@@ -37,7 +37,7 @@ from .config import (
     read_overrides,
     save_config,
 )
-from .decoder import DecoderConfig, forward
+from .decoder import DecoderConfig, check_bank, forward
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
 from .geometry import GeometryError, Scene, load_scene, save_scene
 from .priors import BankParseError, FitError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
@@ -193,12 +193,10 @@ def cmd_train(cfg: RunConfig) -> None:
             bank = load_bank(priors_path)
         except BankParseError as e:
             raise CliError(str(e)) from e
-        n_prior, n_points = cfg.decoder.n_prior, cfg.scenes.n_points
-        if bank.n_pri < n_prior or (n_prior and bank.n_p != n_points):
-            raise CliError(
-                f"{priors_path}: bank holds {bank.n_pri} shapes of {bank.n_p} points, the decoder "
-                f"needs decoder.n_prior={n_prior} shapes of scenes.n_points={n_points} points"
-            )
+        try:
+            check_bank(bank, cfg.decoder_cfg)
+        except ContractViolation as e:
+            raise CliError(f"{priors_path}: {e}") from e
         check_fingerprint(bank, fingerprint)
     dataset = _feature_dataset(scenes, cfg)
     val = None

@@ -40,7 +40,7 @@ class ScenesSection(SceneConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.count, int) or self.count < 0:
+        if self.count < 0:
             raise ValueError(f"count must be an integer >= 0, got {self.count!r}")
 
 
@@ -52,6 +52,8 @@ class FeaturesSection:
     noise_sd: float = 0.01
 
     def __post_init__(self):
+        if self.num_levels < 1:
+            raise ValueError(f"num_levels must be >= 1, got {self.num_levels}")
         t, sd = self.truncation, self.noise_sd
         if not (type(t) in (int, float) and math.isfinite(t) and t > 0):
             raise ValueError(f"truncation must be a finite number > 0, got {t!r}")
@@ -122,7 +124,12 @@ class BenchSection:
     queries: int = 1000
     h: int = 200
     w: int = 100
-    repeats: int = 100
+    repeats: int = 100  # checked by bench-attn itself
+
+    def __post_init__(self):
+        for name in ("channels", "n_heads", "num_levels", "num_points", "queries", "h", "w"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -148,8 +155,6 @@ class RunConfig:
     io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # The module configs the sections describe; building them here runs
         # their own checks while the config is parsed.
         self.decoder_cfg = DecoderConfig(
@@ -169,8 +174,9 @@ def model_keys(decoder_cfg: DecoderConfig) -> dict[str, Any]:
 
 
 def _from_dict(base, doc: dict, path: str):
-    """`base` with the values in `doc` applied; a value the section's own
-    check rejects is a ConfigError."""
+    """`base` with the values in `doc` applied; a key whose default is an int
+    takes only an int, and a value the section's own check rejects is a
+    ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(doc).__name__}")
     known = {f.name for f in fields(base)}
@@ -179,6 +185,8 @@ def _from_dict(base, doc: dict, path: str):
         if key not in known:
             raise ConfigError(f"unknown config key {path + key!r}")
         current = getattr(base, key)
+        if type(current) is int and type(value) is not int:
+            raise ConfigError(f"{path + key} must be an integer, got {value!r}")
         kwargs[key] = _from_dict(current, value, f"{path}{key}.") if is_dataclass(current) else value
     try:
         return dataclasses.replace(base, **kwargs)

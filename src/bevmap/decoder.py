@@ -57,10 +57,12 @@ class DecoderConfig:
     num_points_attn: int = 4
 
     def __post_init__(self):
+        for name in ("n_instances", "n_points", "channels", "n_layers", "n_heads", "n_classes", "ffn_dim",
+                     "head_hidden", "num_levels", "num_points_attn"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0 <= self.n_prior <= self.n_instances):
             raise ContractViolation(f"n_prior {self.n_prior} must be in [0, {self.n_instances}]")
-        if self.n_layers < 1:
-            raise ContractViolation("n_layers must be >= 1")
         if self.channels % self.n_heads != 0 or self.channels % 4 != 0:
             raise ContractViolation("channels must be divisible by n_heads and by 4")
         if self.variant not in ALL_VARIANTS:

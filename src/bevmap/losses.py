@@ -85,7 +85,7 @@ def discriminative_loss(embeddings: Tensor, mask: InstanceMask | np.ndarray, cfg
         means.append(mu_k)
         diff = ta.subtract(emb_k, ta.repeat_axis(mu_k, axis=1, times=cells.size))
         dist = ta.sqrt(ta.reduce_sum(ta.multiply(diff, diff), axis=0))  # (p_k,)
-        hinged = ta.squared_hinge(dist - cfg.delta_v)
+        hinged = ta.squared_hinge(ta.subtract(dist, Tensor(np.full(dist.shape, float(cfg.delta_v)))))
         var_terms.append(ta.reduce_mean(hinged))
     l_var = ta.scale(ta.reduce_sum(ta.concat([ta.reshape(t, (1,)) for t in var_terms], axis=0)), 1.0 / k_count)
 
@@ -96,7 +96,7 @@ def discriminative_loss(embeddings: Tensor, mask: InstanceMask | np.ndarray, cfg
         left, right = zip(*[(i, j) for i in range(k_count) for j in range(k_count) if i != j])
         diff = ta.subtract(ta.gather(mu, list(left), axis=1), ta.gather(mu, list(right), axis=1))
         dist = ta.sqrt(ta.reduce_sum(ta.multiply(diff, diff), axis=0))
-        hinged = ta.squared_hinge(ta.scale(dist - cfg.delta_d, -1.0))
+        hinged = ta.squared_hinge(ta.scale(ta.subtract(dist, Tensor(np.full(dist.shape, float(cfg.delta_d)))), -1.0))
         l_dist = ta.scale(ta.reduce_sum(hinged), 1.0 / (k_count * (k_count - 1)))
 
     return ta.add(ta.scale(l_var, cfg.lambda_var), ta.scale(l_dist, cfg.lambda_dist))

@@ -149,6 +149,8 @@ def fit_clusters(
         raise FitError(f"fit_clusters: k must be >= 1, got {k}")
     if k > len(elements):
         raise FitError(f"fit_clusters: k={k} exceeds element count {len(elements)}")
+    if max_iters < 1:
+        raise FitError(f"fit_clusters: max_iters must be >= 1, got {max_iters}")
     rng = substream(seed, "kmeans")
     variants = _ordering_variants(elements, extent)
     centroids = _kmeanspp_init(variants, k, rng)
@@ -282,6 +284,8 @@ def abstract(clusters: list[Cluster], n_pri: int, meta: dict | None = None) -> P
 
     Ordering is by descending member count (ties by cluster index).
     """
+    if n_pri < 0:
+        raise FitError(f"abstract: n_pri must be >= 0, got {n_pri}")
     if n_pri > len(clusters):
         raise FitError(f"abstract: n_pri={n_pri} exceeds cluster count {len(clusters)}")
     order = sorted(range(len(clusters)), key=lambda i: (-clusters[i].member_count, i))

@@ -343,9 +343,9 @@ def _points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.n
     return inside
 
 
-def rasterize_instances(scene: Scene, extent: BevExtent | None = None) -> InstanceMask:
+def rasterize_instances(scene: Scene) -> InstanceMask:
     """Rasterize elements to an instance-id grid; later elements overwrite earlier."""
-    ext = extent or scene.extent
+    ext = scene.extent
     ids = np.zeros((ext.h, ext.w), dtype=np.int64)
     xs, ys = _cell_centers(ext)
     for k, e in enumerate(scene.elements, start=1):

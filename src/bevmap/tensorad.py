@@ -6,16 +6,17 @@ are plain numpy math (used for inference and benchmarking).  Shapes never
 broadcast implicitly -- alignment is done with explicit reshape / repeat,
 which keeps the attention wiring free of silent shape bugs.
 
-A tape is rebuilt on every forward pass.  Each op node keeps only what its
-backward reads (its input ids and backward context), not its output, so an
-activation is freed as soon as no caller and no backward context holds it.
-Tensors link to their tape weakly, so a tape, and every backward context on
-it, is freed with its `with` block: a tensor that outlives the step, such as
-a parameter the caller keeps, pins no tape.  `backward` walks the tape in
-reverse, frees each node's context as soon as its rule has run, and returns
-a `GradMap` of leaf gradients; so a tape is swept once, and a second sweep is
-refused.  `grad_check` compares analytic gradients against central finite
-differences.
+A primitive is one function: it checks its inputs, computes its output and
+hands `_op` a backward closure over exactly the arrays that backward reads.
+A tape is rebuilt on every forward pass.  Each op node keeps only its input
+ids and that closure, not its output, so an activation is freed as soon as
+no caller and no backward closure holds it.  Tensors link to their tape
+weakly, so a tape, and every closure on it, is freed with its `with` block:
+a tensor that outlives the step, such as a parameter the caller keeps, pins
+no tape.  `backward` walks the tape in reverse, runs each node's closure and
+then drops it, and returns a `GradMap` of leaf gradients; so a tape is swept
+once, and a second sweep is refused.  `grad_check` compares analytic
+gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -114,49 +115,23 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # Operator sugar; scalars are allowed on elementwise ops for convenience.
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Tensor(np.full(self.shape, float(other)))
-        return add(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Tensor(np.full(self.shape, float(other)))
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return subtract(Tensor(np.full(self.shape, float(other))), self)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Node:
     """One tape entry: what its backward reads, not its forward output.
 
-    An op node keeps its input ids and backward context; a leaf keeps
-    neither, since its gradient is shaped like its tensor.
+    An op node keeps its input ids and its backward closure, which maps the
+    upstream gradient to a list of gradients aligned with the inputs (None
+    for no gradient) and holds the arrays it reads, until the sweep runs it
+    and drops it.  A leaf keeps neither, since its gradient is shaped like
+    its tensor.
     """
 
-    __slots__ = ("kind", "inputs", "ctx")
+    __slots__ = ("kind", "inputs", "backward")
 
-    def __init__(self, kind, inputs, ctx):
+    def __init__(self, kind, inputs, backward):
         self.kind = kind
         self.inputs = inputs  # tuple of node ids, topologically earlier
-        self.ctx = ctx
+        self.backward = backward
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -173,7 +148,7 @@ class Tape:
         self.nodes: list[Node] = []
         self._leaf_ids: set[int] = set()
         self._ref = weakref.ref(self)  # the one link every tensor on this tape holds
-        self._swept = False  # backward frees each context it consumed
+        self._swept = False  # backward drops each closure it ran
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -191,15 +166,10 @@ class Tape:
         if t._tape is self._ref and t._nid is not None:
             return t._nid
         nid = len(self.nodes)
-        self.nodes.append(Node("leaf", (), ()))
+        self.nodes.append(Node("leaf", (), None))
         self._leaf_ids.add(nid)
         t._tape = self._ref
         t._nid = nid
-        return nid
-
-    def _record(self, kind, input_ids, ctx) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(kind, tuple(input_ids), ctx))
         return nid
 
 
@@ -231,36 +201,27 @@ class GradMap(dict):
         return np.zeros(t.shape)
 
 
-# --------------------------------------------------------------------------
-# Primitive registry and application
-# --------------------------------------------------------------------------
+def _op(kind: str, out: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+    """A primitive's output; on an active tape, recorded as a node of `kind`.
 
-# forward: (input arrays, params) -> (output array, ctx); ctx holds all its backward reads
-# backward: (node, upstream grad) -> list of grads aligned with node.inputs (None = no grad)
-_FORWARD: dict[str, Callable] = {}
-_BACKWARD: dict[str, Callable] = {}
-
-
-def _register(kind: str, fwd: Callable, bwd: Callable) -> None:
-    _FORWARD[kind] = fwd
-    _BACKWARD[kind] = bwd
-
-
-def _apply(kind: str, inputs: Sequence[Tensor], params: dict) -> Tensor:
-    arrays = [t.values for t in inputs]
-    out, ctx = _FORWARD[kind](arrays, params)
+    `backward(g)` returns the gradients of `inputs`, in order, for the
+    upstream gradient `g` (None for no gradient).  It is a closure over the
+    arrays it reads and no others: the node keeps it, not `out`.  Outside
+    any tape it is dropped with the call.
+    """
     tape = active_tape()
     if tape is None:
         return Tensor(out)
-    ids = [tape._ensure(t) for t in inputs]
-    return Tensor(out, tape._ref, tape._record(kind, ids, ctx))
+    ids = tuple(tape._ensure(t) for t in inputs)
+    tape.nodes.append(Node(kind, ids, backward))
+    return Tensor(out, tape._ref, len(tape.nodes) - 1)
 
 
 def backward(tape: Tape, output: Tensor) -> GradMap:
     """Reverse sweep from a scalar output tensor; returns leaf gradients only.
 
-    Each node's backward context is freed once its rule has run, so a tape
-    can be swept only once.
+    Each node's backward closure is dropped once it has run, so a tape can be
+    swept only once.
     """
     if output._tape is not tape._ref or output._nid is None:
         raise ContractViolation("backward: output tensor is not recorded on this tape")
@@ -273,8 +234,9 @@ def backward(tape: Tape, output: Tensor) -> GradMap:
     grads = GradMap(tape)
     grads[out_id] = np.ones(output.shape)
     # ids whose gradient is a sum this sweep allocated, so no other id holds
-    # it and later terms add into it in place; a term a backward rule returned
-    # may be its upstream gradient or another input's, so it is never summed into
+    # it and later terms add into it in place; a term a backward closure
+    # returned may be its upstream gradient or another input's, so it is
+    # never summed into
     owned: set[int] = set()
     for nid in range(out_id, -1, -1):
         if nid not in grads:
@@ -282,8 +244,8 @@ def backward(tape: Tape, output: Tensor) -> GradMap:
         node = tape.nodes[nid]
         if node.kind == "leaf":
             continue
-        input_grads = _BACKWARD[node.kind](node, grads.pop(nid))
-        node.ctx = None
+        input_grads = node.backward(grads.pop(nid))
+        node.backward = None
         for inp, g in zip(node.inputs, input_grads):
             if g is None:
                 continue
@@ -371,95 +333,65 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# Primitive definitions
+# Primitives: each checks its inputs, computes its output and hands `_op` a
+# backward closure over the arrays that backward reads
 # --------------------------------------------------------------------------
 
 
-def _fwd_add(ins, p):
-    a, b = ins
-    _same_shape("add", a, b)
-    return a + b, ()
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a.values, b.values)
+    return _op("add", a.values + b.values, (a, b), lambda g: [g, g])
 
 
-_register("add", _fwd_add, lambda node, g: [g, g])
+def subtract(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("subtract", a.values, b.values)
+    return _op("subtract", a.values - b.values, (a, b), lambda g: [g, -g])
 
 
-def _fwd_subtract(ins, p):
-    a, b = ins
-    _same_shape("subtract", a, b)
-    return a - b, ()
+def multiply(a: Tensor, b: Tensor) -> Tensor:
+    x, y = a.values, b.values
+    _same_shape("multiply", x, y)
+    return _op("multiply", x * y, (a, b), lambda g: [g * y, g * x])
 
 
-_register("subtract", _fwd_subtract, lambda node, g: [g, -g])
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    x, y = a.values, b.values
+    _require(x.ndim >= 2 and y.ndim >= 2, f"matmul: inputs must be >=2-d, got {x.shape} @ {y.shape}")
+    _require(x.ndim == y.ndim, f"matmul: rank mismatch {x.shape} @ {y.shape}")
+    _require(x.shape[:-2] == y.shape[:-2], f"matmul: batch dims differ {x.shape} @ {y.shape}")
+    _require(x.shape[-1] == y.shape[-2], f"matmul: inner dims differ {x.shape} @ {y.shape}")
+    return _op("matmul", x @ y, (a, b), lambda g: [g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g])
 
 
-def _fwd_multiply(ins, p):
-    a, b = ins
-    _same_shape("multiply", a, b)
-    return a * b, (a, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the trailing axis of an N-d x, with w (C_in, C_out) and b (C_out,)."""
+    shape, wv = x.shape, w.values
+    _require(wv.ndim == 2 and shape[-1:] == wv.shape[:1] and b.shape == wv.shape[1:],
+             f"linear: {shape} @ {wv.shape} + {b.shape} do not align on the trailing axis")
+    x2 = x.values.reshape(-1, wv.shape[0])
+    y = x2 @ wv
+    y += b.values
+
+    def backward(g):
+        g2 = g.reshape(x2.shape[0], wv.shape[1])
+        return [(g2 @ wv.T).reshape(shape), x2.T @ g2, g2.sum(axis=0)]
+
+    return _op("linear", y.reshape(shape[:-1] + wv.shape[1:]), (x, w, b), backward)
 
 
-_register("multiply", _fwd_multiply, lambda node, g: [g * node.ctx[1], g * node.ctx[0]])
-
-
-def _fwd_matmul(ins, p):
-    a, b = ins
-    _require(a.ndim >= 2 and b.ndim >= 2, f"matmul: inputs must be >=2-d, got {a.shape} @ {b.shape}")
-    _require(a.ndim == b.ndim, f"matmul: rank mismatch {a.shape} @ {b.shape}")
-    _require(a.shape[:-2] == b.shape[:-2], f"matmul: batch dims differ {a.shape} @ {b.shape}")
-    _require(a.shape[-1] == b.shape[-2], f"matmul: inner dims differ {a.shape} @ {b.shape}")
-    return a @ b, (a, b)
-
-
-def _bwd_matmul(node, g):
-    a, b = node.ctx
-    return [g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g]
-
-
-_register("matmul", _fwd_matmul, _bwd_matmul)
-
-
-def _fwd_linear(ins, p):
-    x, w, b = ins
-    _require(w.ndim == 2 and x.shape[-1:] == w.shape[:1] and b.shape == w.shape[1:],
-             f"linear: {x.shape} @ {w.shape} + {b.shape} do not align on the trailing axis")
-    x2 = x.reshape(-1, w.shape[0])
-    y = x2 @ w
-    y += b
-    return y.reshape(x.shape[:-1] + w.shape[1:]), (x.shape, x2, w)
-
-
-def _bwd_linear(node, g):
-    shape, x2, w = node.ctx
-    g2 = g.reshape(x2.shape[0], w.shape[1])
-    return [(g2 @ w.T).reshape(shape), x2.T @ g2, g2.sum(axis=0)]
-
-
-_register("linear", _fwd_linear, _bwd_linear)
-
-
-def _fwd_softmax(ins, p):
-    (x,) = ins
-    axis = p["axis"] % x.ndim
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    xv = x.values
+    axis = axis % xv.ndim
+    shifted = xv - xv.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    return y, (y, axis)
+    return _op("softmax", y, (x,), lambda g: [y * (g - (g * y).sum(axis=axis, keepdims=True))])
 
 
-def _bwd_softmax(node, g):
-    y, axis = node.ctx
-    return [y * (g - (g * y).sum(axis=axis, keepdims=True))]
-
-
-_register("softmax", _fwd_softmax, _bwd_softmax)
-
-# the backward reads only the sign test, kept as a bool mask: 1/8 of x's bytes
-_register(
-    "relu",
-    lambda ins, p: (np.maximum(ins[0], 0.0), (ins[0] > 0,)),
-    lambda node, g: [g * node.ctx[0]],
-)
+def relu(x: Tensor) -> Tensor:
+    # the backward reads only the sign test, kept as a bool mask: 1/8 of x's bytes
+    mask = x.values > 0
+    return _op("relu", np.maximum(x.values, 0.0), (x,), lambda g: [g * mask])
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -472,56 +404,45 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fwd_sigmoid(ins, p):
-    y = stable_sigmoid(ins[0])
-    return y, (y,)
+def sigmoid(x: Tensor) -> Tensor:
+    y = stable_sigmoid(x.values)
+    return _op("sigmoid", y, (x,), lambda g: [g * y * (1.0 - y)])
 
 
-_register("sigmoid", _fwd_sigmoid, lambda node, g: [g * node.ctx[0] * (1.0 - node.ctx[0])])
+def inverse_sigmoid(x: Tensor) -> Tensor:
+    """Logit of x clipped to [1e-6, 1 - 1e-6]; no gradient flows where it clips."""
+    xv, margin = x.values, 1e-6
+    xc = np.clip(xv, margin, 1.0 - margin)
+
+    def backward(g):
+        inside = (xv > margin) & (xv < 1.0 - margin)
+        return [g * inside / (xc * (1.0 - xc))]
+
+    return _op("inverse_sigmoid", np.log(xc) - np.log1p(-xc), (x,), backward)
 
 
-def _fwd_inverse_sigmoid(ins, p):
-    (x,) = ins
-    margin = p.get("margin", 1e-6)
-    xc = np.clip(x, margin, 1.0 - margin)
-    y = np.log(xc) - np.log1p(-xc)
-    return y, (x, xc, margin)
-
-
-def _bwd_inverse_sigmoid(node, g):
-    x, xc, margin = node.ctx
-    inside = (x > margin) & (x < 1.0 - margin)
-    return [g * inside / (xc * (1.0 - xc))]
-
-
-_register("inverse_sigmoid", _fwd_inverse_sigmoid, _bwd_inverse_sigmoid)
-
-
-def _fwd_layer_norm(ins, p):
-    x, gain, bias = ins
-    _require(gain.shape == bias.shape == x.shape[-1:],
-             f"layer_norm: gain {gain.shape} and bias {bias.shape} must match the trailing axis of {x.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the trailing axis (eps 1e-5), then scale by gain and shift by bias."""
+    xv, gv = x.values, gain.values
+    _require(gv.shape == bias.shape == xv.shape[-1:],
+             f"layer_norm: gain {gv.shape} and bias {bias.shape} must match the trailing axis of {xv.shape}")
+    mu = xv.mean(axis=-1, keepdims=True)
+    var = xv.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    xhat = (xv - mu) * inv
+
+    def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        g_hat = g * gv
+        gm = g_hat.mean(axis=-1, keepdims=True)
+        gx = (g_hat * xhat).mean(axis=-1, keepdims=True)
+        return [inv * (g_hat - gm - xhat * gx), (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+    return _op("layer_norm", xhat * gv + bias.values, (x, gain, bias), backward)
 
 
-def _bwd_layer_norm(node, g):
-    xhat, inv, gain = node.ctx
-    lead = tuple(range(g.ndim - 1))
-    g_hat = g * gain
-    gm = g_hat.mean(axis=-1, keepdims=True)
-    gx = (g_hat * xhat).mean(axis=-1, keepdims=True)
-    return [inv * (g_hat - gm - xhat * gx), (g * xhat).sum(axis=lead), g.sum(axis=lead)]
-
-
-_register("layer_norm", _fwd_layer_norm, _bwd_layer_norm)
-
-
-def _fwd_concat(ins, p):
-    axis = p["axis"]
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    ins = [t.values for t in tensors]
     ndim = ins[0].ndim
     axis = axis % ndim
     for a in ins[1:]:
@@ -531,45 +452,27 @@ def _fwd_concat(ins, p):
             f"concat: incompatible shapes {[x.shape for x in ins]} along axis {axis}",
         )
     sizes = [a.shape[axis] for a in ins]
-    return np.concatenate(ins, axis=axis), (sizes, axis)
+
+    def backward(g):
+        splits = np.cumsum(sizes)[:-1]
+        return list(np.split(g, splits, axis=axis))
+
+    return _op("concat", np.concatenate(ins, axis=axis), tensors, backward)
 
 
-def _bwd_concat(node, g):
-    sizes, axis = node.ctx
-    splits = np.cumsum(sizes)[:-1]
-    return list(np.split(g, splits, axis=axis))
-
-
-_register("concat", _fwd_concat, _bwd_concat)
-
-
-def _fwd_slice(ins, p):
-    (x,) = ins
-    axis = p["axis"] % x.ndim
-    start, stop = p["start"], p["stop"]
-    _require(0 <= start < stop <= x.shape[axis], f"slice: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, stop)
-    return np.ascontiguousarray(x[tuple(idx)]), (x.shape, axis, start, stop)
-
-
-def _bwd_slice(node, g):
-    shape, axis, start, stop = node.ctx
-    gx = np.zeros(shape)
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    shape = x.shape
+    axis = axis % len(shape)
+    _require(0 <= start < stop <= shape[axis], f"slice: [{start}:{stop}] out of range for axis {axis} of {shape}")
     idx = [slice(None)] * len(shape)
     idx[axis] = slice(start, stop)
-    gx[tuple(idx)] = g
-    return [gx]
 
+    def backward(g):
+        gx = np.zeros(shape)
+        gx[tuple(idx)] = g
+        return [gx]
 
-_register("slice", _fwd_slice, _bwd_slice)
-
-
-def _fwd_reduce_sum(ins, p):
-    (x,) = ins
-    axes = _norm_axes(p.get("axis"), x.ndim)
-    keepdims = p.get("keepdims", False)
-    return x.sum(axis=axes, keepdims=keepdims), (x.shape, axes, keepdims)
+    return _op("slice", np.ascontiguousarray(x.values[tuple(idx)]), (x,), backward)
 
 
 def _expand_reduced(g, shape, axes, keepdims):
@@ -579,104 +482,56 @@ def _expand_reduced(g, shape, axes, keepdims):
     return np.broadcast_to(g, shape).copy()
 
 
-def _bwd_reduce_sum(node, g):
-    shape, axes, keepdims = node.ctx
-    return [_expand_reduced(g, shape, axes, keepdims)]
+def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    shape = x.shape
+    axes = _norm_axes(axis, len(shape))
+    return _op("reduce_sum", x.values.sum(axis=axes, keepdims=keepdims), (x,),
+               lambda g: [_expand_reduced(g, shape, axes, keepdims)])
 
 
-_register("reduce_sum", _fwd_reduce_sum, _bwd_reduce_sum)
-
-
-def _fwd_reduce_mean(ins, p):
-    (x,) = ins
-    axes = _norm_axes(p.get("axis"), x.ndim)
-    keepdims = p.get("keepdims", False)
+def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    shape = x.shape
+    axes = _norm_axes(axis, len(shape))
     count = 1
     for a in axes:
-        count *= x.shape[a]
-    return x.mean(axis=axes, keepdims=keepdims), (x.shape, axes, keepdims, count)
+        count *= shape[a]
+    return _op("reduce_mean", x.values.mean(axis=axes, keepdims=keepdims), (x,),
+               lambda g: [_expand_reduced(g, shape, axes, keepdims) / count])
 
 
-def _bwd_reduce_mean(node, g):
-    shape, axes, keepdims, count = node.ctx
-    return [_expand_reduced(g, shape, axes, keepdims) / count]
+def scale(x: Tensor, factor: float) -> Tensor:
+    factor = float(factor)
+    return _op("scale", x.values * factor, (x,), lambda g: [g * factor])
 
 
-_register("reduce_mean", _fwd_reduce_mean, _bwd_reduce_mean)
-
-_register(
-    "scale",
-    lambda ins, p: (ins[0] * p["factor"], (p["factor"],)),
-    lambda node, g: [g * node.ctx[0]],
-)
+def squared_hinge(x: Tensor) -> Tensor:
+    h = np.maximum(x.values, 0.0)
+    return _op("squared_hinge", h * h, (x,), lambda g: [g * 2.0 * h])
 
 
-def _fwd_squared_hinge(ins, p):
-    (x,) = ins
-    h = np.maximum(x, 0.0)
-    return h * h, (h,)
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    shape, old = tuple(int(s) for s in shape), x.shape
+    _require(int(np.prod(shape)) == x.size, f"reshape: cannot reshape {old} into {shape}")
+    return _op("reshape", x.values.reshape(shape), (x,), lambda g: [g.reshape(old)])
 
 
-_register("squared_hinge", _fwd_squared_hinge, lambda node, g: [g * 2.0 * node.ctx[0]])
+def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
+    axes = tuple(int(a) for a in axes)
+    _require(sorted(axes) == list(range(len(x.shape))), f"transpose: axes {axes} invalid for {x.shape}")
+    return _op("transpose", np.ascontiguousarray(x.values.transpose(axes)), (x,),
+               lambda g: [np.ascontiguousarray(g.transpose(np.argsort(axes)))])
 
 
-def _fwd_reshape(ins, p):
-    (x,) = ins
-    shape = tuple(p["shape"])
-    _require(
-        int(np.prod(shape)) == x.size,
-        f"reshape: cannot reshape {x.shape} into {shape}",
-    )
-    return x.reshape(shape), (x.shape,)
-
-
-_register("reshape", _fwd_reshape, lambda node, g: [g.reshape(node.ctx[0])])
-
-
-def _fwd_transpose(ins, p):
-    (x,) = ins
-    axes = tuple(p["axes"])
-    _require(sorted(axes) == list(range(x.ndim)), f"transpose: axes {axes} invalid for {x.shape}")
-    return np.ascontiguousarray(x.transpose(axes)), (axes,)
-
-
-def _bwd_transpose(node, g):
-    axes = node.ctx[0]
-    inverse = np.argsort(axes)
-    return [np.ascontiguousarray(g.transpose(inverse))]
-
-
-_register("transpose", _fwd_transpose, _bwd_transpose)
-
-
-def _fwd_repeat(ins, p):
-    (x,) = ins
-    axis = p["axis"] % x.ndim
-    times = p["times"]
+def repeat_axis(x: Tensor, axis: int, times: int) -> Tensor:
+    shape, times = x.shape, int(times)
+    axis = axis % len(shape)
     _require(times >= 1, f"repeat: times must be >= 1, got {times}")
-    return np.repeat(x, times, axis=axis), (x.shape, axis, times)
 
+    def backward(g):
+        expanded = g.reshape(shape[: axis + 1] + (times,) + shape[axis + 1 :])
+        return [expanded.sum(axis=axis + 1)]
 
-def _bwd_repeat(node, g):
-    shape, axis, times = node.ctx
-    expanded = g.reshape(shape[: axis + 1] + (times,) + shape[axis + 1 :])
-    return [expanded.sum(axis=axis + 1)]
-
-
-_register("repeat", _fwd_repeat, _bwd_repeat)
-
-
-def _fwd_gather(ins, p):
-    (x,) = ins
-    axis = p["axis"] % x.ndim
-    idx = np.asarray(p["indices"], dtype=np.int64)
-    _require(idx.ndim == 1, "gather: indices must be 1-d")
-    _require(
-        idx.size == 0 or (idx.min() >= 0 and idx.max() < x.shape[axis]),
-        f"gather: indices out of range for axis {axis} of {x.shape}",
-    )
-    increasing = bool((idx[1:] > idx[:-1]).all())
-    return np.take(x, idx, axis=axis), (x.shape, axis, idx, increasing)
+    return _op("repeat", np.repeat(x.values, times, axis=axis), (x,), backward)
 
 
 def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None) -> np.ndarray:
@@ -699,74 +554,77 @@ def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.nd
     return spread @ src
 
 
-def _bwd_gather(node, g):
-    shape, axis, idx, increasing = node.ctx
-    g_m = np.moveaxis(g, axis, 0)
-    if increasing:
-        # distinct indices: each target row sums one term, 0 + g, as the
-        # scatter does (so -0.0 lands as +0.0), written in place
-        out = np.zeros(shape)
-        np.moveaxis(out, axis, 0)[idx] = g_m + 0.0
-        return [out]
-    rest = g_m.shape[1:]
-    flat = _scatter_rows(idx, g_m.reshape(idx.size, math.prod(rest)), shape[axis])
-    return [np.ascontiguousarray(np.moveaxis(flat.reshape((shape[axis],) + rest), 0, axis))]
+def gather(x: Tensor, indices, axis: int = 0) -> Tensor:
+    shape = x.shape
+    axis = axis % len(shape)
+    idx = np.asarray(indices, dtype=np.int64)
+    _require(idx.ndim == 1, "gather: indices must be 1-d")
+    _require(
+        idx.size == 0 or (idx.min() >= 0 and idx.max() < shape[axis]),
+        f"gather: indices out of range for axis {axis} of {shape}",
+    )
+    increasing = bool((idx[1:] > idx[:-1]).all())
+
+    def backward(g):
+        g_m = np.moveaxis(g, axis, 0)
+        if increasing:
+            # distinct indices: each target row sums one term, 0 + g, as the
+            # scatter does (so -0.0 lands as +0.0), written in place
+            out = np.zeros(shape)
+            np.moveaxis(out, axis, 0)[idx] = g_m + 0.0
+            return [out]
+        rest = g_m.shape[1:]
+        flat = _scatter_rows(idx, g_m.reshape(idx.size, math.prod(rest)), shape[axis])
+        return [np.ascontiguousarray(np.moveaxis(flat.reshape((shape[axis],) + rest), 0, axis))]
+
+    return _op("gather", np.take(x.values, idx, axis=axis), (x,), backward)
 
 
-_register("gather", _fwd_gather, _bwd_gather)
-
-_register("sqrt", lambda ins, p: (np.sqrt(ins[0]), (ins[0],)),
-          lambda node, g: [g * 0.5 / np.sqrt(np.maximum(node.ctx[0], 1e-24))])
-
-_register("absolute", lambda ins, p: (np.abs(ins[0]), (ins[0],)),
-          lambda node, g: [g * np.sign(node.ctx[0])])
-
-_register("sin", lambda ins, p: (np.sin(ins[0]), (ins[0],)), lambda node, g: [g * np.cos(node.ctx[0])])
-
-_register("cos", lambda ins, p: (np.cos(ins[0]), (ins[0],)), lambda node, g: [-g * np.sin(node.ctx[0])])
+def sqrt(x: Tensor) -> Tensor:
+    xv = x.values
+    return _op("sqrt", np.sqrt(xv), (x,), lambda g: [g * 0.5 / np.sqrt(np.maximum(xv, 1e-24))])
 
 
-def _fwd_softplus(ins, p):
-    (x,) = ins
-    y = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return y, (x,)
+def absolute(x: Tensor) -> Tensor:
+    xv = x.values
+    return _op("absolute", np.abs(xv), (x,), lambda g: [g * np.sign(xv)])
 
 
-_register("softplus", _fwd_softplus, lambda node, g: [g * stable_sigmoid(node.ctx[0])])
+def sin(x: Tensor) -> Tensor:
+    xv = x.values
+    return _op("sin", np.sin(xv), (x,), lambda g: [g * np.cos(xv)])
 
 
-def _fwd_add_rows(ins, p):
-    x, b = ins
-    _require(b.ndim == 1 and x.shape[-1] == b.shape[0],
+def cos(x: Tensor) -> Tensor:
+    xv = x.values
+    return _op("cos", np.cos(xv), (x,), lambda g: [-g * np.sin(xv)])
+
+
+def softplus(x: Tensor) -> Tensor:
+    xv = x.values
+    y = np.maximum(xv, 0.0) + np.log1p(np.exp(-np.abs(xv)))
+    return _op("softplus", y, (x,), lambda g: [g * stable_sigmoid(xv)])
+
+
+def power(x: Tensor, exponent: float) -> Tensor:
+    xv, exponent = x.values, float(exponent)
+    _require((xv >= 0).all(), "power: base must be non-negative")
+
+    def backward(g):
+        if exponent == 0:
+            return [np.zeros_like(xv)]
+        base = np.power(np.maximum(xv, 1e-300), exponent - 1.0)
+        return [g * exponent * base]
+
+    return _op("power", np.power(xv, exponent), (x,), backward)
+
+
+def add_rows(x: Tensor, b: Tensor) -> Tensor:
+    """Add a vector to the trailing axis of every row (explicit bias add)."""
+    _require(len(b.shape) == 1 and x.shape[-1] == b.shape[0],
              f"add_rows: trailing dim of {x.shape} must match vector {b.shape}")
-    return x + b, (x.ndim,)
-
-
-def _bwd_add_rows(node, g):
-    ndim = node.ctx[0]
-    axes = tuple(range(ndim - 1))
-    return [g, g.sum(axis=axes)]
-
-
-_register("add_rows", _fwd_add_rows, _bwd_add_rows)
-
-
-def _fwd_power(ins, p):
-    (x,) = ins
-    exponent = p["exponent"]
-    _require((x >= 0).all(), "power: base must be non-negative")
-    return np.power(x, exponent), (x, exponent)
-
-
-def _bwd_power(node, g):
-    x, exponent = node.ctx
-    if exponent == 0:
-        return [np.zeros_like(x)]
-    base = np.power(np.maximum(x, 1e-300), exponent - 1.0)
-    return [g * exponent * base]
-
-
-_register("power", _fwd_power, _bwd_power)
+    axes = tuple(range(len(x.shape) - 1))
+    return _op("add_rows", x.values + b.values, (x, b), lambda g: [g, g.sum(axis=axes)])
 
 
 # --------------------------------------------------------------------------
@@ -859,50 +717,6 @@ def _stack_channel_last(levels: Sequence[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _fwd_sample_levels(ins, p):
-    m = p["num_levels"]
-    levels, pts, val_w = ins[:m], ins[m : 2 * m], ins[2 * m]
-    _check_levels(levels)
-    _require(len(pts) == m, f"sample_levels: {m} levels but {len(pts)} point tensors")
-    for x in pts:
-        _require(x.ndim == 4 and x.shape[-1] == 2, f"sample_levels: points must be T x Nh x N x 2, got {x.shape}")
-        _require(x.shape[:-1] == pts[0].shape[:-1],
-                 f"sample_levels: point tensors differ in leading shape, {[x.shape for x in pts]}")
-    t, nh, n = pts[0].shape[:-1]
-    c = levels[0].shape[0]
-    _require(val_w.ndim == 3 and val_w.shape[:2] == (nh, c),
-             f"sample_levels: val_w must be Nh x C x D with Nh={nh}, C={c}, got {val_w.shape}")
-    sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
-    table = _stack_channel_last(levels) if p["table"] is None else p["table"]
-    _require(table.shape[0] >= sum(sizes) and table.shape[1:] == (c,),
-             f"sample_levels: table {table.shape} does not hold {sum(sizes)} rows of {c} channels")
-    table = table[: sum(sizes)]
-    offsets = np.cumsum([0] + sizes[:-1])
-    pieces = [_bilinear_pieces(lv, x.reshape(-1, 2)) for lv, x in zip(levels, pts)]
-
-    def head_major(per_level):
-        """(4, T*Nh*N) per level -> flat, in (head, query, level, point, corner) order."""
-        return np.stack([a.T.reshape(t, nh, n, 4) for a in per_level], axis=2).transpose(1, 0, 2, 3, 4).ravel()
-
-    # row r holds its four corners in corner order; explicit zeros and clipped
-    # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
-    rows = t * m * n  # per head
-    cols = head_major([pc[0] + off for pc, off in zip(pieces, offsets)])
-    blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * nh * rows + 1, 4)),
-                         shape=(nh * rows, table.shape[0]))
-    if nh * rows * c < _PARALLEL_VALUES:
-        out = (blend @ table).reshape(nh, rows, c) @ val_w
-    else:
-        out = np.empty((nh, rows, val_w.shape[2]))
-
-        def head(h):
-            np.matmul(blend[h * rows : (h + 1) * rows] @ table, val_w[h], out=out[h])
-
-        list(_POOL.map(head, range(nh)))
-    # the samples are not kept: the backward recomputes them from `blend`
-    return out, ((t, nh, n), [lv.shape for lv in levels], table, offsets, pieces, blend, val_w)
-
-
 def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_l: np.ndarray) -> np.ndarray:
     """(4, K): the dot of table row lin[j, k] with g_l[k], for each corner j.
 
@@ -919,105 +733,6 @@ def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_l: np.ndarray) -> np
             np.take(level_rows, lin_f[a:b], axis=0, out=buf[: b - a])
             np.einsum("kc,kc->k", buf[: b - a], g_l[a:b], out=dots[j, a:b])
     return dots
-
-
-def _bwd_sample_levels(node, g):
-    (t, nh, n), shapes, table, offsets, pieces, blend, val_w = node.ctx
-
-    def val_w_grad():
-        # the forward's samples, recomputed by its own CSR product
-        s = (blend @ table).reshape(nh, -1, table.shape[1])
-        return np.swapaxes(s, -1, -2) @ g
-
-    g_val_w = _POOL.submit(val_w_grad)
-    g_s = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, len(shapes), n, -1)
-    g_levels, g_pts = [], []
-    for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
-        # this level's upstream rows, back in (query, head, point) sample order
-        g_l = np.ascontiguousarray(g_s[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
-        # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
-        # major then by sample; out-of-bounds corners carry weight 0, so their
-        # clipped scatter adds zero
-        g_flat = _scatter_rows(lin.ravel(), g_l, h * w, weights.ravel())
-        g_levels.append(g_flat.T.reshape(c, h, w))
-        # point gradient: derivative of the blend weights wrt the fractional offsets;
-        # out-of-bounds corners contribute zero, so mask their value dot products
-        dots = _corner_dots(table[off : off + h * w], lin, g_l) * valid  # (4, K)
-        v00, v01, v10, v11 = dots
-        d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
-        d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
-        g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
-    return g_levels + g_pts + [g_val_w.result()]
-
-
-_register("sample_levels", _fwd_sample_levels, _bwd_sample_levels)
-
-
-# --------------------------------------------------------------------------
-# Functional wrappers
-# --------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("add", [a, b], {})
-
-
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("subtract", [a, b], {})
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("multiply", [a, b], {})
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("matmul", [a, b], {})
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the trailing axis of an N-d x, with w (C_in, C_out) and b (C_out,)."""
-    return _apply("linear", [x, w, b], {})
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return _apply("softmax", [x], {"axis": axis})
-
-
-def relu(x: Tensor) -> Tensor:
-    return _apply("relu", [x], {})
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _apply("sigmoid", [x], {})
-
-
-def inverse_sigmoid(x: Tensor, margin: float = 1e-6) -> Tensor:
-    return _apply("inverse_sigmoid", [x], {"margin": margin})
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the trailing axis (eps 1e-5), then scale by gain and shift by bias."""
-    return _apply("layer_norm", [x, gain, bias], {})
-
-
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    return _apply("concat", list(tensors), {"axis": axis})
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    return _apply("slice", [x], {"axis": axis, "start": start, "stop": stop})
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _apply("reduce_sum", [x], {"axis": axis, "keepdims": keepdims})
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _apply("reduce_mean", [x], {"axis": axis, "keepdims": keepdims})
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    return _apply("scale", [x], {"factor": float(factor)})
 
 
 def level_table(levels: Sequence[Tensor]) -> np.ndarray:
@@ -1043,7 +758,77 @@ def sample_levels(
     `table` is `level_table` of `levels` or of a list they begin; it is
     built here when omitted.
     """
-    return _apply("sample_levels", [*levels, *pts, val_w], {"num_levels": len(levels), "table": table})
+    # from here on the three names hold arrays; the tape gets the tensors
+    inputs = [*levels, *pts, val_w]
+    levels, pts, val_w = [lv.values for lv in levels], [x.values for x in pts], val_w.values
+    m = len(levels)
+    _check_levels(levels)
+    _require(len(pts) == m, f"sample_levels: {m} levels but {len(pts)} point tensors")
+    for x in pts:
+        _require(x.ndim == 4 and x.shape[-1] == 2, f"sample_levels: points must be T x Nh x N x 2, got {x.shape}")
+        _require(x.shape[:-1] == pts[0].shape[:-1],
+                 f"sample_levels: point tensors differ in leading shape, {[x.shape for x in pts]}")
+    t, nh, n = pts[0].shape[:-1]
+    c = levels[0].shape[0]
+    _require(val_w.ndim == 3 and val_w.shape[:2] == (nh, c),
+             f"sample_levels: val_w must be Nh x C x D with Nh={nh}, C={c}, got {val_w.shape}")
+    sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
+    table = _stack_channel_last(levels) if table is None else table
+    _require(table.shape[0] >= sum(sizes) and table.shape[1:] == (c,),
+             f"sample_levels: table {table.shape} does not hold {sum(sizes)} rows of {c} channels")
+    table = table[: sum(sizes)]
+    offsets = np.cumsum([0] + sizes[:-1])
+    shapes = [lv.shape for lv in levels]
+    pieces = [_bilinear_pieces(lv, x.reshape(-1, 2)) for lv, x in zip(levels, pts)]
+
+    def head_major(per_level):
+        """(4, T*Nh*N) per level -> flat, in (head, query, level, point, corner) order."""
+        return np.stack([a.T.reshape(t, nh, n, 4) for a in per_level], axis=2).transpose(1, 0, 2, 3, 4).ravel()
+
+    # row r holds its four corners in corner order; explicit zeros and clipped
+    # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
+    rows = t * m * n  # per head
+    cols = head_major([pc[0] + off for pc, off in zip(pieces, offsets)])
+    blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * nh * rows + 1, 4)),
+                         shape=(nh * rows, table.shape[0]))
+    if nh * rows * c < _PARALLEL_VALUES:
+        out = (blend @ table).reshape(nh, rows, c) @ val_w
+    else:
+        out = np.empty((nh, rows, val_w.shape[2]))
+
+        def head(h):
+            np.matmul(blend[h * rows : (h + 1) * rows] @ table, val_w[h], out=out[h])
+
+        list(_POOL.map(head, range(nh)))
+
+    # the samples are not kept: the backward recomputes them from `blend`
+    def backward(g):
+        def val_w_grad():
+            # the forward's samples, recomputed by its own CSR product
+            s = (blend @ table).reshape(nh, -1, table.shape[1])
+            return np.swapaxes(s, -1, -2) @ g
+
+        g_val_w = _POOL.submit(val_w_grad)
+        g_s = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, len(shapes), n, -1)
+        g_levels, g_pts = [], []
+        for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
+            # this level's upstream rows, back in (query, head, point) sample order
+            g_l = np.ascontiguousarray(g_s[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
+            # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
+            # major then by sample; out-of-bounds corners carry weight 0, so their
+            # clipped scatter adds zero
+            g_flat = _scatter_rows(lin.ravel(), g_l, h * w, weights.ravel())
+            g_levels.append(g_flat.T.reshape(c, h, w))
+            # point gradient: derivative of the blend weights wrt the fractional offsets;
+            # out-of-bounds corners contribute zero, so mask their value dot products
+            dots = _corner_dots(table[off : off + h * w], lin, g_l) * valid  # (4, K)
+            v00, v01, v10, v11 = dots
+            d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
+            d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
+            g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
+        return g_levels + g_pts + [g_val_w.result()]
+
+    return _op("sample_levels", out, inputs, backward)
 
 
 def bilinear_sample(grid: Tensor, pts: Tensor) -> Tensor:
@@ -1057,52 +842,3 @@ def bilinear_sample(grid: Tensor, pts: Tensor) -> Tensor:
     identity = Tensor(np.eye(grid.shape[0])[None])
     out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))], identity)
     return reshape(out, (k, out.shape[-1]))
-
-
-def squared_hinge(x: Tensor) -> Tensor:
-    return _apply("squared_hinge", [x], {})
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    return _apply("reshape", [x], {"shape": tuple(int(s) for s in shape)})
-
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    return _apply("transpose", [x], {"axes": tuple(int(a) for a in axes)})
-
-
-def repeat_axis(x: Tensor, axis: int, times: int) -> Tensor:
-    return _apply("repeat", [x], {"axis": axis, "times": int(times)})
-
-
-def gather(x: Tensor, indices, axis: int = 0) -> Tensor:
-    return _apply("gather", [x], {"axis": axis, "indices": np.asarray(indices, dtype=np.int64)})
-
-
-def sqrt(x: Tensor) -> Tensor:
-    return _apply("sqrt", [x], {})
-
-
-def absolute(x: Tensor) -> Tensor:
-    return _apply("absolute", [x], {})
-
-
-def sin(x: Tensor) -> Tensor:
-    return _apply("sin", [x], {})
-
-
-def cos(x: Tensor) -> Tensor:
-    return _apply("cos", [x], {})
-
-
-def softplus(x: Tensor) -> Tensor:
-    return _apply("softplus", [x], {})
-
-
-def power(x: Tensor, exponent: float) -> Tensor:
-    return _apply("power", [x], {"exponent": float(exponent)})
-
-
-def add_rows(x: Tensor, b: Tensor) -> Tensor:
-    """Add a vector to the trailing axis of every row (explicit bias add)."""
-    return _apply("add_rows", [x, b], {})

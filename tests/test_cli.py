@@ -229,7 +229,7 @@ def _one_line_error(capsys) -> str:
 
 
 @pytest.mark.parametrize("command,args,expected", [
-    ("train", ["--set", "decoder.n_prior=6"], "error (CliError): {bank}: bank holds 4 shapes"),
+    ("train", ["--set", "decoder.n_prior=6"], "error (CliError): {bank}: prior bank holds 4 shapes, decoder needs 6"),
     ("train", ["--set", "decoder.n_heads=3"], "error (ConfigError): channels must be divisible by n_heads"),
     ("train", ["--set", 'train.optimizer="adam"'], "error (ConfigError): unknown optimizer 'adam'"),
     ("train", ["--steps", "0"], "error (ConfigError): steps must be >= 1"),
@@ -297,6 +297,28 @@ def _one_line_error(capsys) -> str:
      "error (CliError): {no_pos}: no parameter adapter.pos, which the decoder in _meta needs"),
     ("eval", ["--checkpoint", "{short_q}"],
      "error (CliError): {short_q}: parameter q_ins has shape (3, 16), the decoder in _meta needs (8, 16)"),
+    ("train", ["--set", "train.steps=1.5"], "error (ConfigError): train.steps must be an integer, got 1.5"),
+    ("train", ["--set", "decoder.n_layers=1.5"], "error (ConfigError): decoder.n_layers must be an integer, got 1.5"),
+    ("train", ["--set", "features.num_levels=1.5"],
+     "error (ConfigError): features.num_levels must be an integer, got 1.5"),
+    ("fit-priors", ["--set", 'priors.k="abc"'], "error (ConfigError): priors.k must be an integer, got 'abc'"),
+    ("fit-priors", ["--set", "priors.k=2.5"], "error (ConfigError): priors.k must be an integer, got 2.5"),
+    ("fit-priors", ["--set", "priors.max_iters=1.5"],
+     "error (ConfigError): priors.max_iters must be an integer, got 1.5"),
+    ("fit-priors", ["--set", "priors.n_pri=1.5"], "error (ConfigError): priors.n_pri must be an integer, got 1.5"),
+    ("bench-attn", ["--set", "bench.repeats=1.5"], "error (ConfigError): bench.repeats must be an integer, got 1.5"),
+    ("train", ["--set", "decoder.n_heads=0"], "error (ConfigError): n_heads must be >= 1, got 0"),
+    ("bench-attn", ["--set", "bench.n_heads=0"], "error (ConfigError): bench: n_heads must be >= 1, got 0"),
+    ("bench-attn", ["--set", "bench.h=0"], "error (ConfigError): bench: h must be >= 1, got 0"),
+    ("train", ["--set", "decoder.ffn_dim=0"], "error (ConfigError): ffn_dim must be >= 1, got 0"),
+    ("bench-attn", ["--set", "bench.channels=0"], "error (ConfigError): bench: channels must be >= 1, got 0"),
+    ("train", ["--set", "features.num_levels=0"], "error (ConfigError): features: num_levels must be >= 1, got 0"),
+    ("train", ["--set", "decoder.num_points_attn=0"], "error (ConfigError): num_points_attn must be >= 1, got 0"),
+    ("fit-priors", ["--set", "priors.n_pri=-1"], "error (CliError): {data}: abstract: n_pri must be >= 0, got -1"),
+    ("fit-priors", ["--set", "priors.max_iters=0"],
+     "error (CliError): {data}: fit_clusters: max_iters must be >= 1, got 0"),
+    ("fit-priors", ["--set", "priors.max_iters=-3"],
+     "error (CliError): {data}: fit_clusters: max_iters must be >= 1, got -3"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
@@ -341,6 +363,7 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, 
         "fit-priors": ["--scenes", data, "--k", "4", "--n-pri", "4"],
         "train": ["--data", data, "--priors", bank, "--steps", "2"],
         "eval": ["--data", data, "--checkpoint", ckpt],
+        "bench-attn": ["--variant", "vanilla"],
     }[command]
     out = tmp_path / "out"
     rc = cli.main([command, *inputs, "--out", str(out), *TINY, *[a.format(**paths) for a in args]])
