@@ -37,7 +37,7 @@ from .config import (
     read_overrides,
     save_config,
 )
-from .decoder import DecoderConfig, check_bank, forward
+from .decoder import forward
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
 from .geometry import GeometryError, Scene, load_scene, save_scene
 from .priors import BankParseError, FitError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
@@ -88,13 +88,18 @@ def _load_scene(path: str) -> Scene:
 
 def _load_scene_dir(data_dir: str, n_points: int) -> list[Scene]:
     """Every scene file under `data_dir`/scenes, each checked to hold
-    finite elements of `n_points` points inside its extent."""
+    finite elements of `n_points` points inside its extent, which must be
+    the first scene's."""
     scenes_dir = os.path.join(data_dir, "scenes")
     _require_path(scenes_dir, "scene directory")
     names = sorted(n for n in os.listdir(scenes_dir) if n.endswith(".json"))
     if not names:
         raise CliError(f"no scene files under {scenes_dir}")
-    scenes = [_load_scene(os.path.join(scenes_dir, n)) for n in names]
+    paths = [os.path.join(scenes_dir, n) for n in names]
+    scenes = [_load_scene(path) for path in paths]
+    for path, scene in zip(paths, scenes):
+        if scene.extent != scenes[0].extent:
+            raise CliError(f"{path}: extent {scene.extent} differs from {paths[0]}'s {scenes[0].extent}")
     try:
         for scene in scenes:
             scene.validate(n_points)
@@ -187,17 +192,17 @@ def cmd_train(cfg: RunConfig) -> None:
     fingerprint = _dataset_fingerprint(data_dir)
 
     bank = None
-    if cfg.train.prior_mode == "prior":
+    if cfg.decoder.n_prior > 0:
         priors_path = _require_path(cfg.io.priors_path, "prior bank (io.priors_path)")
         try:
             bank = load_bank(priors_path)
         except BankParseError as e:
             raise CliError(str(e)) from e
-        try:
-            check_bank(bank, cfg.decoder_cfg)
-        except ContractViolation as e:
-            raise CliError(f"{priors_path}: {e}") from e
         check_fingerprint(bank, fingerprint)
+    try:
+        params, bank, _ = setup_run(cfg.decoder_cfg, bank, cfg.train_cfg, init_sd=cfg.decoder.init_sd)
+    except ContractViolation as e:
+        raise CliError(f"{cfg.io.priors_path}: {e}") from e
     dataset = _feature_dataset(scenes, cfg)
     val = None
     if cfg.io.val_dir:
@@ -206,11 +211,10 @@ def cmd_train(cfg: RunConfig) -> None:
         _check_grid(val, dataset[0].pyramid.levels[0].shape, cfg.io.val_dir)
     _snapshot(cfg, "train")
 
-    params, eff_bank, eff_cfg = setup_run(cfg.decoder_cfg, bank, cfg.train_cfg, init_sd=cfg.decoder.init_sd)
     try:
         # a diverging run is reported as one CliError, not also as numpy warnings
         with np.errstate(all="ignore"):
-            result = train(params, eff_bank, dataset, eff_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
+            result = train(params, bank, dataset, cfg.decoder_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
     except TrainingDiverged as e:
         raise CliError(f"training diverged: {e}") from e
 
@@ -218,14 +222,14 @@ def cmd_train(cfg: RunConfig) -> None:
     save_checkpoint(
         result.params,
         os.path.join(out_dir, "checkpoint.npz"),
-        eff_cfg,
-        eff_bank,
+        cfg.decoder_cfg,
+        bank,
         features=dataclasses.asdict(cfg.features),
         dataset_fingerprint=fingerprint,
     )
 
     log_path = os.path.join(out_dir, "train_log.csv")
-    u_cols = [f"u_layer{i}" for i in range(1, eff_cfg.n_layers)]
+    u_cols = [f"u_layer{i}" for i in range(1, cfg.decoder_cfg.n_layers)]
     header = ["step", "loss_total", "loss_cls", "loss_pts", "loss_disc"] + u_cols + ["u_t"]
     rows = [header]
     for row in result.log:
@@ -234,7 +238,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
     epoch_len = min(len(scenes), len(result.log))
     summary = {
-        "prior_mode": cfg.train.prior_mode,
+        "prior_mode": "prior" if cfg.decoder.n_prior > 0 else "random",
         "steps": cfg.train.steps,
         "final_epoch_len": epoch_len,
         "final_epoch_u_t": final_epoch_mean(result.log, "u_t", epoch_len),
@@ -243,21 +247,21 @@ def cmd_train(cfg: RunConfig) -> None:
     }
 
     if val is not None:
-        summary["val_mean_ap"] = _evaluate_params(result.params, eff_bank, val, cfg, eff_cfg).mean_ap
+        summary["val_mean_ap"] = _evaluate_params(result.params, bank, val, cfg).mean_ap
 
     with open(os.path.join(out_dir, "stability.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"train: {cfg.train.steps} steps, prior_mode={cfg.train.prior_mode}, "
+    print(f"train: {cfg.train.steps} steps, n_prior={cfg.decoder.n_prior}, "
           f"final-epoch u_t={summary['final_epoch_u_t']:.4f} -> {out_dir}")
 
 
-def _evaluate_params(params, bank, dataset, cfg: RunConfig, decoder_cfg: DecoderConfig):
+def _evaluate_params(params, bank, dataset, cfg: RunConfig):
     preds_per_scene = []
     gts_per_scene = []
     for item in dataset:
         levels = project_pyramid(item.pyramid.levels, params)
-        outputs = forward(params, bank, levels, decoder_cfg)
+        outputs = forward(params, bank, levels, cfg.decoder_cfg)
         final = outputs[-1]
         preds_per_scene.append(
             predictions_from_output(final.class_logits.values, final.point_coords.values, item.scene.extent)
@@ -271,7 +275,7 @@ def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
     dataset = _feature_dataset(_load_scene_dir(data_dir, cfg.scenes.n_points), cfg)
     _check_grid(dataset, ckpt["adapter.pos"].shape, data_dir)
     _snapshot(cfg, "eval")
-    report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg, ckpt.decoder_cfg)
+    report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg)
     out_dir = cfg.io.out_dir
     with open(os.path.join(out_dir, "eval_report.json"), "w") as f:
         json.dump(report_to_dict(report), f, indent=2, sort_keys=True)
@@ -308,13 +312,13 @@ def cmd_stability_report(runs: list[str], out_path: str) -> None:
 def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
     if cfg.bench.repeats < 1:
         raise CliError(f"bench.repeats must be >= 1, got {cfg.bench.repeats}")
-    _snapshot(cfg, "bench-attn")
     try:
         rows = benchmark_attention(
             [BENCH_VARIANTS[v] for v in variants], seed=cfg.seed, **dataclasses.asdict(cfg.bench)
         )
     except ContractViolation as e:
         raise CliError(f"bench config: {e}") from e
+    _snapshot(cfg, "bench-attn")
     table = [["variant", "M", "N", "queries", "mean_ms", "sd_ms", "sample_count"]]
     for r in rows:
         table.append([r["variant"], str(r["M"]), str(r["N"]), str(r["queries"]),
@@ -391,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="io.data_dir", help="training dataset directory (io.data_dir)")
     p.add_argument("--val", dest="io.val_dir", help="validation dataset directory (io.val_dir)")
     p.add_argument("--priors", dest="io.priors_path", help="prior bank path (io.priors_path)")
-    p.add_argument("--prior-mode", dest="train.prior_mode", choices=["prior", "random"],
-                   help="reference-point initialization mode (train.prior_mode)")
     p.add_argument("--steps", dest="train.steps", type=int, help="training steps (train.steps)")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint with Chamfer AP")

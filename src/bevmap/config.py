@@ -101,7 +101,6 @@ class TrainSection:
     steps: int = 2000
     lr: float = 0.1
     optimizer: str = "adagrad"
-    prior_mode: str = "prior"
     feature_noise_sd: float = 0.0
 
 

@@ -28,8 +28,6 @@ from .rngutil import substream
 from .synth import FeaturePyramid, InstanceMask, rasterize_instances, render_bev
 from .tensorad import ContractViolation, Tensor
 
-PRIOR_MODE_PRIOR = "prior"
-PRIOR_MODE_RANDOM = "random"
 ADAGRAD_EPS = 1e-8
 CHECKPOINT_FORMAT = 1
 
@@ -46,7 +44,6 @@ class TrainConfig:
     lr: float = 0.1
     optimizer: str = "adagrad"  # momentum-free adaptive, or "sgd"
     seed: int = 0
-    prior_mode: str = PRIOR_MODE_PRIOR
     # fresh feature noise per visit, the stand-in for sensor/augmentation
     # variability; without it a small dataset is memorized and matching
     # locks regardless of anchor quality
@@ -59,8 +56,6 @@ class TrainConfig:
             raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         if self.optimizer not in ("adagrad", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.prior_mode not in (PRIOR_MODE_PRIOR, PRIOR_MODE_RANDOM):
-            raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
         sd = self.feature_noise_sd
         if not (type(sd) in (int, float) and math.isfinite(sd) and sd >= 0):
             raise ValueError(f"feature_noise_sd must be a finite number >= 0, got {sd!r}")
@@ -216,20 +211,17 @@ def setup_run(
     train_cfg: TrainConfig,
     init_sd: float = 0.02,
 ) -> tuple[dict[str, Tensor], PriorBank | None, DecoderConfig]:
-    """Model parameters plus the effective bank/config for the chosen prior mode.
+    """Model parameters, the bank the model reads (None when n_prior is 0)
+    and `decoder_cfg`; a bank that does not fit `decoder_cfg` is a
+    ContractViolation.
 
-    Random mode drops the bank and re-labels every instance as learnable;
-    the shared learnable rows are drawn identically in both modes so the two
-    runs differ only through the reference initialization path.
+    Random initialization is n_prior = 0: the learnable rows it shares with a
+    prior model of the same seed are drawn identically, so the two runs
+    differ only through the reference initialization path.
     """
-    if train_cfg.prior_mode == PRIOR_MODE_RANDOM or bank is None:
-        cfg = DecoderConfig(
-            **{**decoder_cfg.__dict__, "n_prior": 0},
-        )
-        params = init_model_params(cfg, train_cfg.seed, init_sd=init_sd)
-        return params, None, cfg
+    check_bank(bank, decoder_cfg)
     params = init_model_params(decoder_cfg, train_cfg.seed, init_sd=init_sd)
-    return params, bank, decoder_cfg
+    return params, bank if decoder_cfg.n_prior > 0 else None, decoder_cfg
 
 
 def final_epoch_mean(log: list[dict], key: str, epoch_len: int) -> float:
@@ -249,7 +241,7 @@ class CheckpointError(ValueError):
 
 class Checkpoint(dict):
     """Params by name, plus what the `_meta` entry records about the run
-    that wrote them; the bank is None in random mode."""
+    that wrote them; the bank is None when n_prior is 0."""
 
     decoder_cfg: DecoderConfig
     bank: PriorBank | None
@@ -265,9 +257,9 @@ def save_checkpoint(
     features: dict,
     dataset_fingerprint: str,
 ) -> None:
-    """Write params and a JSON `_meta` entry: format version, the effective
-    decoder config, the bank (None in random mode), the features section and
-    the fingerprint of the training data."""
+    """Write params and a JSON `_meta` entry: format version, the decoder
+    config, the bank (None when n_prior is 0), the features section and the
+    fingerprint of the training data."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "decoder": dataclasses.asdict(decoder_cfg),

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import json
 import os
+import pathlib
 import pickle
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from bevmap import cli
 from bevmap.attention import ALL_VARIANTS
 from bevmap.config import ConfigError, RunConfig, apply_overrides, config_from_dict, config_to_dict, model_keys
 from bevmap.decoder import DecoderConfig
+from bevmap.training import load_checkpoint
 
 
 TINY = [
@@ -47,9 +50,21 @@ def pipeline(tmp_path_factory):
     run_dir = str(root / "run_prior")
     assert cli.main([
         "train", "--data", data, "--priors", bank, "--out", run_dir, "--seed", "7",
-        "--steps", "6", "--prior-mode", "prior", *TINY,
+        "--steps", "6", *TINY,
     ]) == 0
     return root, data, bank, run_dir
+
+
+@pytest.fixture(scope="module")
+def random_run(pipeline):
+    """A run with random reference initialization: n_prior = 0 and no bank."""
+    root, data, bank, run_dir = pipeline
+    run_rand = str(root / "run_random")
+    assert cli.main([
+        "train", "--data", data, "--out", run_rand, "--seed", "7",
+        "--steps", "6", *TINY, "--set", "decoder.n_prior=0",
+    ]) == 0
+    return run_rand
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +74,15 @@ def tall_data(tmp_path_factory):
     assert cli.main(["gen-data", "--out", data, "--count", "1", "--seed", "7", *TINY,
                      "--set", "scenes.extent.h=24"]) == 0
     return data
+
+
+@pytest.fixture(scope="module")
+def mixed_data(pipeline, tall_data, tmp_path_factory):
+    """The pipeline's scenes plus, last, the tall scene of another extent."""
+    mixed = tmp_path_factory.mktemp("mixed") / "data"
+    shutil.copytree(pipeline[1], mixed)
+    shutil.copy(os.path.join(tall_data, "scenes", "scene_00000.json"), mixed / "scenes" / "scene_00004.json")
+    return mixed
 
 
 def test_gen_data_artifacts(pipeline):
@@ -99,16 +123,28 @@ def test_eval_and_reports(pipeline, tmp_path):
     assert os.path.exists(os.path.join(out, "eval_report.csv"))
 
 
-def test_random_mode_and_stability_report(pipeline, tmp_path):
-    root, data, bank, run_dir = pipeline
-    run_rand = str(tmp_path / "run_random")
+def test_random_run_needs_no_bank(random_run):
+    ckpt = load_checkpoint(os.path.join(random_run, "checkpoint.npz"))
+    assert ckpt.bank is None and ckpt.decoder_cfg.n_prior == 0
+    assert ckpt["ref_logits"].shape[0] == ckpt.decoder_cfg.n_instances
+    with open(os.path.join(random_run, "stability.json")) as f:
+        assert json.load(f)["prior_mode"] == "random"
+
+
+def test_eval_of_a_random_run_from_its_snapshot(random_run, tmp_path):
+    # the snapshot and the checkpoint both record n_prior = 0
     assert cli.main([
-        "train", "--data", data, "--out", run_rand, "--seed", "7",
-        "--steps", "6", "--prior-mode", "random", *TINY,
+        "eval", "--config", os.path.join(random_run, "train_config.json"),
+        "--checkpoint", os.path.join(random_run, "checkpoint.npz"), "--out", str(tmp_path / "eval"),
     ]) == 0
+    assert (tmp_path / "eval" / "eval_report.json").exists()
+
+
+def test_random_mode_and_stability_report(pipeline, random_run, tmp_path):
+    root, data, bank, run_dir = pipeline
     report_path = str(tmp_path / "stability.json")
     assert cli.main([
-        "stability-report", "--runs", run_dir, run_rand, "--out-file", report_path,
+        "stability-report", "--runs", run_dir, random_run, "--out-file", report_path,
     ]) == 0
     with open(report_path) as f:
         doc = json.load(f)
@@ -147,6 +183,7 @@ def test_bench_attn_bad_config_is_cli_error(tmp_path, capsys, args, message):
     assert err.startswith("error (CliError):") and message in err
     assert err.count("\n") == 1
     assert not (tmp_path / "bench" / "bench_attn.csv").exists()
+    assert not (tmp_path / "bench" / "bench-attn_config.json").exists()
 
 
 def test_rerun_from_snapshot_reproduces(pipeline, tmp_path):
@@ -219,6 +256,10 @@ def test_model_keys_give_back_the_decoder_config(overrides):
     assert not overrides or {o.split("=")[0] for o in overrides} == set(model_keys(cfg.decoder_cfg))
     again = apply_overrides(RunConfig(), [f"{k}={json.dumps(v)}" for k, v in model_keys(cfg.decoder_cfg).items()])
     assert again.decoder_cfg == cfg.decoder_cfg
+
+
+MIXED_EXTENT = ("error (CliError): {mixed_last}: extent BevExtent(x_min=-30.0, x_max=30.0, y_min=-15.0, "
+                "y_max=15.0, h=24, w=16) differs from {mixed_first}'s")
 
 
 def _one_line_error(capsys) -> str:
@@ -319,14 +360,20 @@ def _one_line_error(capsys) -> str:
      "error (CliError): {data}: fit_clusters: max_iters must be >= 1, got 0"),
     ("fit-priors", ["--set", "priors.max_iters=-3"],
      "error (CliError): {data}: fit_clusters: max_iters must be >= 1, got -3"),
+    ("fit-priors", ["--scenes", "{mixed}"], MIXED_EXTENT),
+    ("train", ["--data", "{mixed}"], MIXED_EXTENT),
+    ("eval", ["--data", "{mixed}"], MIXED_EXTENT),
 ])
-def test_bad_config_or_input_is_one_line(pipeline, tall_data, tmp_path, capsys, command, args, expected):
+def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, tmp_path, capsys, command, args, expected):
     root, data, bank, run_dir = pipeline
     ckpt = os.path.join(run_dir, "checkpoint.npz")
     paths = {
         "bank": bank,
         "data": data,
         "tall": tall_data,
+        "mixed": mixed_data,
+        "mixed_first": mixed_data / "scenes" / "scene_00000.json",
+        "mixed_last": mixed_data / "scenes" / "scene_00004.json",
         "bad_bank": str(tmp_path / "bank.json"),
         "pickle": str(tmp_path / "pickle.npz"),
         "no_meta": str(tmp_path / "no_meta.npz"),
@@ -493,6 +540,22 @@ def test_every_flag_sets_a_config_key():
     # every bench-attn --variant choice names one attention variant, and every variant has a choice
     variant = next(a for a in commands["bench-attn"]._actions if a.dest == "variant")
     assert sorted(cli.BENCH_VARIANTS[choice] for choice in variant.choices) == sorted(ALL_VARIANTS)
+
+
+def test_readme_commands_parse():
+    # every `bevmap ...` command in the README's CLI block, `\` continuations joined
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = next(b for b in readme.split("```bash")[1:] if "\nbevmap " in b).split("```")[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("bevmap ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            args = parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+        if hasattr(args, "config"):
+            apply_overrides(RunConfig(), cli._overrides(args))  # raises on an unknown key
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

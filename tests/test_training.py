@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 
@@ -9,9 +10,8 @@ from bevmap import tensorad as ta
 from bevmap.decoder import DecoderConfig
 from bevmap.geometry import BevExtent
 from bevmap.priors import abstract, fit_clusters
+from bevmap.tensorad import ContractViolation
 from bevmap.training import (
-    PRIOR_MODE_PRIOR,
-    PRIOR_MODE_RANDOM,
     CheckpointError,
     TrainConfig,
     build_dataset,
@@ -41,7 +41,7 @@ def world():
 
 def test_overfit_single_scene(world):
     scenes, dcfg, dataset, bank = world
-    tcfg = TrainConfig(steps=500, lr=0.2, seed=1, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=500, lr=0.2, seed=1)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(params, eff_bank, dataset[:1], eff_cfg, tcfg)
     first = result.log[0]["loss_total"]
@@ -55,7 +55,7 @@ def _diverge(world, lr):
     from bevmap.training import TrainingDiverged
 
     scenes, dcfg, dataset, bank = world
-    tcfg = TrainConfig(steps=200, lr=lr, optimizer="sgd", seed=1, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=200, lr=lr, optimizer="sgd", seed=1)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -79,7 +79,7 @@ def test_training_deterministic(world):
     scenes, dcfg, dataset, bank = world
     logs = []
     for _ in range(2):
-        tcfg = TrainConfig(steps=8, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
+        tcfg = TrainConfig(steps=8, lr=0.1, seed=5)
         params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
         result = train(params, eff_bank, dataset, eff_cfg, tcfg)
         logs.append(result.log)
@@ -101,7 +101,7 @@ def test_each_step_frees_its_tape_before_the_next_forward(world, monkeypatch):
 
     monkeypatch.setattr(training, "project_pyramid", forward_start)
     monkeypatch.setattr(training, "total_loss", recording_loss)
-    tcfg = TrainConfig(steps=3, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=3, lr=0.1, seed=5)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     train(params, eff_bank, dataset, eff_cfg, tcfg)
     assert alive_at_forward == [[], [False], [False, False]]
@@ -118,7 +118,7 @@ def test_params_kept_by_the_caller_pin_no_tape(world, monkeypatch):
         return total_loss(*args, **kwargs)
 
     monkeypatch.setattr(training, "total_loss", recording_loss)
-    tcfg = TrainConfig(steps=1, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=1, lr=0.1, seed=5)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(dict(params), eff_bank, dataset, eff_cfg, tcfg)
     assert params and result.params
@@ -127,10 +127,9 @@ def test_params_kept_by_the_caller_pin_no_tape(world, monkeypatch):
 
 def test_modes_differ_only_through_reference_path(world):
     scenes, dcfg, dataset, bank = world
-    tcfg_p = TrainConfig(steps=1, lr=0.1, seed=5, prior_mode=PRIOR_MODE_PRIOR)
-    tcfg_r = TrainConfig(steps=1, lr=0.1, seed=5, prior_mode=PRIOR_MODE_RANDOM)
-    params_p, bank_p, cfg_p = setup_run(dcfg, bank, tcfg_p)
-    params_r, bank_r, cfg_r = setup_run(dcfg, bank, tcfg_r)
+    tcfg = TrainConfig(steps=1, lr=0.1, seed=5)
+    params_p, bank_p, cfg_p = setup_run(dcfg, bank, tcfg)
+    params_r, bank_r, cfg_r = setup_run(dataclasses.replace(dcfg, n_prior=0), bank, tcfg)
     assert bank_p is bank and bank_r is None
     assert cfg_p.n_prior == 4 and cfg_r.n_prior == 0
     # every non-reference parameter is identical between the two modes
@@ -142,9 +141,15 @@ def test_modes_differ_only_through_reference_path(world):
     assert np.array_equal(params_p["ref_logits"].values, params_r["ref_logits"].values[cfg_p.n_prior:])
 
 
+def test_setup_run_refuses_priors_without_a_bank(world):
+    scenes, dcfg, dataset, bank = world
+    with pytest.raises(ContractViolation, match="decoder configured with priors but no bank supplied"):
+        setup_run(dcfg, None, TrainConfig(steps=1, seed=5))
+
+
 def test_log_columns(world):
     scenes, dcfg, dataset, bank = world
-    tcfg = TrainConfig(steps=3, lr=0.1, seed=2, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=3, lr=0.1, seed=2)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(params, eff_bank, dataset, eff_cfg, tcfg)
     expected = {"step", "loss_total", "loss_cls", "loss_pts", "loss_disc", "u_layer1", "u_t"}
@@ -160,7 +165,7 @@ def test_final_epoch_mean(world):
 
 def test_checkpoint_round_trip(tmp_path, world):
     scenes, dcfg, dataset, bank = world
-    tcfg = TrainConfig(steps=2, lr=0.1, seed=9, prior_mode=PRIOR_MODE_PRIOR)
+    tcfg = TrainConfig(steps=2, lr=0.1, seed=9)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(params, eff_bank, dataset, eff_cfg, tcfg)
     path = str(tmp_path / "ckpt.npz")
