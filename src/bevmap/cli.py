@@ -226,6 +226,7 @@ def cmd_train(cfg: RunConfig) -> None:
         bank,
         features=dataclasses.asdict(cfg.features),
         dataset_fingerprint=fingerprint,
+        extent=scenes[0].extent,
     )
 
     log_path = os.path.join(out_dir, "train_log.csv")
@@ -272,8 +273,12 @@ def _evaluate_params(params, bank, dataset, cfg: RunConfig):
 
 def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    dataset = _feature_dataset(_load_scene_dir(data_dir, cfg.scenes.n_points), cfg)
+    scenes = _load_scene_dir(data_dir, cfg.scenes.n_points)
+    dataset = _feature_dataset(scenes, cfg)
     _check_grid(dataset, ckpt["adapter.pos"].shape, data_dir)
+    if scenes[0].extent != ckpt.extent:
+        raise CliError(f"{data_dir}: scenes have extent {scenes[0].extent}, "
+                       f"the checkpoint {cfg.io.checkpoint_path} was trained on {ckpt.extent}")
     _snapshot(cfg, "eval")
     report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg)
     out_dir = cfg.io.out_dir

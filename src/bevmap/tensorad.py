@@ -7,7 +7,8 @@ broadcast implicitly -- alignment is done with explicit reshape / repeat,
 which keeps the attention wiring free of silent shape bugs.
 
 A primitive is one function: it checks its inputs, computes its output and
-hands `_op` a backward closure over exactly the arrays that backward reads.
+hands `_op` a backward closure over exactly the arrays that backward reads,
+or, where they are large and cheap to rebuild, the arrays it rebuilds them from.
 A tape is rebuilt on every forward pass.  Each op node keeps only its input
 ids and that closure, not its output, so an activation is freed as soon as
 no caller and no backward closure holds it.  Tensors link to their tape
@@ -21,6 +22,8 @@ gradients against central finite differences.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 import os
 import weakref
@@ -206,7 +209,8 @@ def _op(kind: str, out: np.ndarray, inputs: Sequence[Tensor], backward: Callable
 
     `backward(g)` returns the gradients of `inputs`, in order, for the
     upstream gradient `g` (None for no gradient).  It is a closure over the
-    arrays it reads and no others: the node keeps it, not `out`.  Outside
+    arrays it reads, or rebuilds what it reads from, and no others: the node
+    keeps it, not `out`.  Outside
     any tape it is dropped with the call.
     """
     tape = active_tape()
@@ -649,11 +653,16 @@ def add_rows(x: Tensor, b: Tensor) -> Tensor:
 # at most ~1.0 M values) stay on the calling thread, where hand-offs cost
 # more than they save.
 #
-# The samples are the widest array a call makes, and the backward reads them
-# only for val_w's gradient, so the tape keeps the blend matrix instead.  At
-# every size the backward hands the pool the forward's own CSR product and
-# val_w's gradient, while the calling thread computes the level and point
-# gradients.  This module is the only one in the package that starts threads.
+# The tape node keeps the points (16 B per sample), the shared table and
+# val_w, and recomputes the rest in the backward (Chen et al., arXiv
+# 1604.06174: recompute instead of keep).  Its corner arrays (84 B per sample)
+# and its blend matrix (48 B) are rebuilt from the points by the forward's own
+# code, so the bytes are the forward's.  The calling thread recomputes the
+# corners and from them computes the level and point gradients; one pool task
+# rebuilds the blend matrix from those corners, recomputes the samples (the
+# widest array a call makes) and computes val_w's gradient.  Every pool task
+# goes through `_on_pool`.  This module is the only one in the package that
+# starts threads.
 # --------------------------------------------------------------------------
 
 _PARALLEL_VALUES = 2**21
@@ -662,29 +671,56 @@ _WORKERS = len(os.sched_getaffinity(0))
 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="bevmap")  # threads start with the first hand-off
 
 
-def _bilinear_pieces(grid: np.ndarray, pts: np.ndarray):
-    """Corner indices and masked blend weights for K points on a C x h x w grid.
+def _on_pool(fn: Callable, items=None):
+    """Hand `fn` to the pool: fn(item) for each of `items`, waited for and
+    returned as a list in order; with no items, one call fn(), returned as a
+    future.
+
+    Every task runs in its own copy of the caller's context, made on the
+    calling thread: numpy's error state (`np.errstate`) is context-local, so
+    a pool thread would otherwise ignore the caller's.  A context can be
+    entered by one thread at a time, hence one fresh copy per task.
+    """
+    if items is None:
+        return _POOL.submit(contextvars.copy_context().run, fn)
+    tasks = [(contextvars.copy_context(), item) for item in items]
+    return list(_POOL.map(lambda task: task[0].run(fn, task[1]), tasks))
+
+
+def _bilinear_pieces(h: int, w: int, pts: np.ndarray):
+    """Corner indices and masked blend weights for K points on an h x w grid.
 
     Returns lin (4, K) clipped flat indices into h*w, valid (4, K), weights
     (4, K) with out-of-bounds corners zeroed (zero padding), and the
     fractional offsets fi, fj (K,).  Corners run (0,0), (0,1), (1,0), (1,1).
+    Each corner row's index, mask and weight vector is computed once and the
+    four corner rows are filled from them in place.
     """
-    c, h, w = grid.shape
-    ci = pts[:, 0] * h - 0.5
-    cj = pts[:, 1] * w - 0.5
+    # in place where a value is not read again: each fresh array costs page faults
+    ci = pts[:, 0] * h
+    ci -= 0.5
+    cj = pts[:, 1] * w
+    cj -= 0.5
     i0 = np.floor(ci).astype(np.int64)
     j0 = np.floor(cj).astype(np.int64)
-    fi = ci - i0
-    fj = cj - j0
-    di = np.array([0, 0, 1, 1])[:, None]
-    dj = np.array([0, 1, 0, 1])[:, None]
-    ii = i0[None, :] + di  # (4, K)
-    jj = j0[None, :] + dj
-    valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-    lin = np.clip(ii, 0, h - 1) * w + np.clip(jj, 0, w - 1)
-    wi = np.where(di == 1, fi[None, :], 1.0 - fi[None, :])
-    wj = np.where(dj == 1, fj[None, :], 1.0 - fj[None, :])
-    weights = wi * wj * valid  # masking the weight implements zero padding
+    fi = np.subtract(ci, i0, out=ci)
+    fj = np.subtract(cj, j0, out=cj)
+    # per corner row (di) and column (dj): in-grid mask, clipped index, weight
+    rows = [((ii >= 0) & (ii < h), ii, wi) for ii, wi in ((i0, 1.0 - fi), (i0 + 1, fi))]
+    cols = [((jj >= 0) & (jj < w), jj, wj) for jj, wj in ((j0, 1.0 - fj), (j0 + 1, fj))]
+    for _, ii, _ in rows:
+        np.clip(ii, 0, h - 1, out=ii)
+        ii *= w
+    for _, jj, _ in cols:
+        np.clip(jj, 0, w - 1, out=jj)
+    lin = np.empty((4, len(pts)), np.int64)
+    valid = np.empty((4, len(pts)), bool)
+    weights = np.empty((4, len(pts)))
+    for corner, ((valid_i, row, wi), (valid_j, col, wj)) in enumerate(itertools.product(rows, cols)):
+        np.add(row, col, out=lin[corner])
+        np.logical_and(valid_i, valid_j, out=valid[corner])
+        np.multiply(wi, wj, out=weights[corner])
+        weights[corner] *= valid[corner]  # masking the weight implements zero padding
     return lin, valid, weights, fi, fj
 
 
@@ -713,7 +749,7 @@ def _stack_channel_last(levels: Sequence[np.ndarray]) -> np.ndarray:
         flat, start, a, b = span
         table[start + a : start + b] = flat[:, a:b].T
 
-    list((map if parts == 1 else _POOL.map)(copy, spans))
+    list((map if parts == 1 else _on_pool)(copy, spans))
     return table
 
 
@@ -779,18 +815,27 @@ def sample_levels(
     table = table[: sum(sizes)]
     offsets = np.cumsum([0] + sizes[:-1])
     shapes = [lv.shape for lv in levels]
-    pieces = [_bilinear_pieces(lv, x.reshape(-1, 2)) for lv, x in zip(levels, pts)]
+    rows = t * m * n  # per head
+
+    def level_pieces():
+        return [_bilinear_pieces(h, w, x.reshape(-1, 2)) for (_, h, w), x in zip(shapes, pts)]
 
     def head_major(per_level):
-        """(4, T*Nh*N) per level -> flat, in (head, query, level, point, corner) order."""
-        return np.stack([a.T.reshape(t, nh, n, 4) for a in per_level], axis=2).transpose(1, 0, 2, 3, 4).ravel()
+        """(4, T*Nh*N) per level -> (Nh, T, M, N, 4): (head, query, level, point, corner) order."""
+        out = np.empty((nh, t, m, n, 4), per_level[0].dtype)
+        for lvl, a in enumerate(per_level):
+            out[:, :, lvl] = a.T.reshape(t, nh, n, 4).swapaxes(0, 1)
+        return out
 
-    # row r holds its four corners in corner order; explicit zeros and clipped
-    # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
-    rows = t * m * n  # per head
-    cols = head_major([pc[0] + off for pc, off in zip(pieces, offsets)])
-    blend = sp.csr_array((head_major([pc[2] for pc in pieces]), cols, np.arange(0, 4 * nh * rows + 1, 4)),
-                         shape=(nh * rows, table.shape[0]))
+    def blend_matrix(pieces):
+        # row r holds its four corners in corner order; explicit zeros and clipped
+        # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
+        cols = head_major([pc[0] for pc in pieces])
+        cols += offsets[:, None, None]
+        return sp.csr_array((head_major([pc[2] for pc in pieces]).ravel(), cols.ravel(),
+                             np.arange(0, 4 * nh * rows + 1, 4)), shape=(nh * rows, table.shape[0]))
+
+    blend = blend_matrix(level_pieces())
     if nh * rows * c < _PARALLEL_VALUES:
         out = (blend @ table).reshape(nh, rows, c) @ val_w
     else:
@@ -799,17 +844,19 @@ def sample_levels(
         def head(h):
             np.matmul(blend[h * rows : (h + 1) * rows] @ table, val_w[h], out=out[h])
 
-        list(_POOL.map(head, range(nh)))
+        _on_pool(head, range(nh))
 
-    # the samples are not kept: the backward recomputes them from `blend`
+    # the node keeps the points, not their corners: the backward recomputes them
     def backward(g):
+        pieces = level_pieces()
+
         def val_w_grad():
-            # the forward's samples, recomputed by its own CSR product
-            s = (blend @ table).reshape(nh, -1, table.shape[1])
+            # the forward's samples, recomputed by its blend matrix rebuilt from `pieces`
+            s = (blend_matrix(pieces) @ table).reshape(nh, -1, table.shape[1])
             return np.swapaxes(s, -1, -2) @ g
 
-        g_val_w = _POOL.submit(val_w_grad)
-        g_s = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, len(shapes), n, -1)
+        g_val_w = _on_pool(val_w_grad)
+        g_s = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, m, n, -1)
         g_levels, g_pts = [], []
         for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
             # this level's upstream rows, back in (query, head, point) sample order

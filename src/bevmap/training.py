@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensorad as ta
 from .decoder import DecoderConfig, NumericalError, check_bank, forward, init_model_params
-from .geometry import Scene
+from .geometry import BevExtent, GeometryError, Scene
 from .losses import LossConfig, total_loss
 from .matching import Assignment, GtTarget, gt_targets, unstable_scores
 from .priors import BankParseError, PriorBank, bank_from_dict, bank_to_dict
@@ -29,7 +29,7 @@ from .synth import FeaturePyramid, InstanceMask, rasterize_instances, render_bev
 from .tensorad import ContractViolation, Tensor
 
 ADAGRAD_EPS = 1e-8
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2  # 2: _meta records the training scenes' extent
 
 
 class TrainingDiverged(RuntimeError):
@@ -247,6 +247,7 @@ class Checkpoint(dict):
     bank: PriorBank | None
     features: dict
     dataset_fingerprint: str
+    extent: BevExtent
 
 
 def save_checkpoint(
@@ -256,16 +257,18 @@ def save_checkpoint(
     bank: PriorBank | None,
     features: dict,
     dataset_fingerprint: str,
+    extent: BevExtent,
 ) -> None:
     """Write params and a JSON `_meta` entry: format version, the decoder
-    config, the bank (None when n_prior is 0), the features section and the
-    fingerprint of the training data."""
+    config, the bank (None when n_prior is 0), the features section, and the
+    fingerprint and scene extent of the training data."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "decoder": dataclasses.asdict(decoder_cfg),
         "bank": bank_to_dict(bank) if bank else None,
         "features": features,
         "dataset_fingerprint": dataset_fingerprint,
+        "extent": dataclasses.asdict(extent),
     }
     arrays = {name: t.values for name, t in params.items()}
     np.savez(path, _meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
@@ -285,14 +288,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta = json.loads(meta_text)
         if meta["format"] != CHECKPOINT_FORMAT:
             raise CheckpointError(f"{path}: checkpoint format {meta['format']!r}, expected {CHECKPOINT_FORMAT}")
-        missing = [key for key in ("decoder", "features", "dataset_fingerprint") if meta[key] is None]
+        missing = [key for key in ("decoder", "features", "dataset_fingerprint", "extent") if meta[key] is None]
         if missing:
             raise CheckpointError(f"{path}: _meta records no {', '.join(missing)}")
         ckpt.decoder_cfg = DecoderConfig(**meta["decoder"])
         ckpt.bank = bank_from_dict(meta["bank"]) if meta["bank"] else None
         ckpt.features = meta["features"]
         ckpt.dataset_fingerprint = meta["dataset_fingerprint"]
-    except (json.JSONDecodeError, KeyError, TypeError, ContractViolation, BankParseError) as e:
+        ckpt.extent = BevExtent(**meta["extent"])
+    except (json.JSONDecodeError, KeyError, TypeError, ContractViolation, BankParseError, GeometryError) as e:
         raise CheckpointError(f"{path}: malformed _meta entry ({type(e).__name__}: {e})") from e
     _check_fit(ckpt, path)
     return ckpt

@@ -77,6 +77,15 @@ def tall_data(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def wide_data(tmp_path_factory):
+    """One scene twice as wide as the pipeline's, on the same 32 x 16 grid."""
+    data = str(tmp_path_factory.mktemp("wide") / "data")
+    assert cli.main(["gen-data", "--out", data, "--count", "1", "--seed", "7", *TINY,
+                     "--set", "scenes.extent.x_min=-60.0", "--set", "scenes.extent.x_max=60.0"]) == 0
+    return data
+
+
+@pytest.fixture(scope="module")
 def mixed_data(pipeline, tall_data, tmp_path_factory):
     """The pipeline's scenes plus, last, the tall scene of another extent."""
     mixed = tmp_path_factory.mktemp("mixed") / "data"
@@ -363,14 +372,21 @@ def _one_line_error(capsys) -> str:
     ("fit-priors", ["--scenes", "{mixed}"], MIXED_EXTENT),
     ("train", ["--data", "{mixed}"], MIXED_EXTENT),
     ("eval", ["--data", "{mixed}"], MIXED_EXTENT),
+    ("eval", ["--data", "{wide}"],
+     "error (CliError): {wide}: scenes have extent BevExtent(x_min=-60.0, x_max=60.0, y_min=-15.0, y_max=15.0, "
+     "h=32, w=16), the checkpoint {ckpt} was trained on BevExtent(x_min=-30.0, x_max=30.0, y_min=-15.0, "
+     "y_max=15.0, h=32, w=16)"),
 ])
-def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, tmp_path, capsys, command, args, expected):
+def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_data, tmp_path, capsys,
+                                         command, args, expected):
     root, data, bank, run_dir = pipeline
     ckpt = os.path.join(run_dir, "checkpoint.npz")
     paths = {
         "bank": bank,
+        "ckpt": ckpt,
         "data": data,
         "tall": tall_data,
+        "wide": wide_data,
         "mixed": mixed_data,
         "mixed_first": mixed_data / "scenes" / "scene_00000.json",
         "mixed_last": mixed_data / "scenes" / "scene_00004.json",

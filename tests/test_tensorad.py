@@ -209,15 +209,25 @@ def test_backward_sweeps_a_tape_once():
                 ta.backward(tape, out)
 
 
+def _reachable(obj):
+    """Every object a backward closure's variables reach through lists, tuples
+    and the nested functions it calls."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _reachable(item)
+    elif inspect.isfunction(obj):
+        yield from _reachable(list(inspect.getclosurevars(obj).nonlocals.values()))
+    else:
+        yield obj
+
+
 def _arrays(obj):
     """Every array reachable from a backward closure's variables, sparse parts included."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
-    elif hasattr(obj, "indptr"):
-        yield from (obj.data, obj.indices, obj.indptr)
+    for item in _reachable(obj):
+        if isinstance(item, np.ndarray):
+            yield item
+        elif hasattr(item, "indptr"):
+            yield from (item.data, item.indices, item.indptr)
 
 
 def test_sample_levels_node_keeps_no_samples_and_backward_frees_every_context():
@@ -233,6 +243,24 @@ def test_sample_levels_node_keeps_no_samples_and_backward_frees_every_context():
         assert sizes and nh * t * len(levels) * n * c not in sizes
         ta.backward(tape, ta.reduce_sum(ta.multiply(ta.relu(out), out)))
     assert all(node.backward is None for node in tape.nodes)
+
+
+def test_sample_levels_node_keeps_its_points_not_their_corners():
+    rng = np.random.default_rng(9)
+    t, nh, n, c = 5, 2, 3, 6
+    levels = [Tensor(rng.normal(size=(c, 4, 5))), Tensor(rng.normal(size=(c, 2, 3)))]
+    pts = [Tensor(rng.uniform(-0.1, 1.1, size=(t, nh, n, 2))) for _ in levels]
+    val_w = Tensor(rng.normal(size=(nh, c, 3)))
+    table = ta.level_table(levels)
+    with Tape() as tape:
+        out = ta.sample_levels(levels, pts, val_w, table)
+        kept = list(_reachable(list(inspect.getclosurevars(tape.nodes[out._nid].backward).nonlocals.values())))
+    assert not [x for x in kept if hasattr(x, "indptr")]  # no blend matrix
+    arrays = list(_arrays(kept))
+    assert 4 * t * nh * n not in {a.size for a in arrays}  # no corner array of any level
+    # beyond the level offsets: the points, the table and val_w, as the caller passed them
+    large = [a for a in arrays if a.size > len(levels)]
+    assert large and all(any(a is x.values for x in [*pts, val_w]) or a.base is table for a in large)
 
 
 def test_sum_of_losses_gradients_add():
@@ -588,11 +616,8 @@ def test_affine_primitives_refuse_misaligned_parameters(fn, shapes, match):
 # --------------------------------------------------------------------------
 
 
-def _dense_bilinear(grid, pts, g, corner_major=True):
-    """Reference kernel: corner gather through the transposed (C, h*w) view,
-    einsum blend and dot products, `np.add.at` scatter.  Returns the output,
-    the grid gradient and the point gradient for upstream gradient g."""
-    c, h, w = grid.shape
+def _reference_pieces(h, w, pts):
+    """Reference corners: all four at once, as (4, K) index and weight arrays."""
     ci = pts[:, 0] * h - 0.5
     cj = pts[:, 1] * w - 0.5
     i0 = np.floor(ci).astype(np.int64)
@@ -605,10 +630,19 @@ def _dense_bilinear(grid, pts, g, corner_major=True):
     jj = j0[None, :] + dj
     valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
     lin = np.clip(ii, 0, h - 1) * w + np.clip(jj, 0, w - 1)
-    vals = grid.reshape(c, h * w).T[lin]
     wi = np.where(di == 1, fi[None, :], 1.0 - fi[None, :])
     wj = np.where(dj == 1, fj[None, :], 1.0 - fj[None, :])
     weights = wi * wj * valid
+    return lin, valid, weights, fi, fj
+
+
+def _dense_bilinear(grid, pts, g, corner_major=True):
+    """Reference kernel: corner gather through the transposed (C, h*w) view,
+    einsum blend and dot products, `np.add.at` scatter.  Returns the output,
+    the grid gradient and the point gradient for upstream gradient g."""
+    c, h, w = grid.shape
+    lin, valid, weights, fi, fj = _reference_pieces(h, w, pts)
+    vals = grid.reshape(c, h * w).T[lin]
     out = np.einsum("fkc,fk->kc", vals, weights)
     g_grid_flat = np.zeros((h * w, c))
     scaled = weights[:, :, None] * g[None, :, :]
@@ -649,6 +683,34 @@ def test_bilinear_matches_dense_reference_bytes(c, h, w, k):
     # many samples share each cell, so the scatter order is visible in the bytes
     sample_major = _dense_bilinear(grid, pts, g, corner_major=False)[1]
     assert sample_major.tobytes() != want[1].tobytes()
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (4, 7)])
+def test_bilinear_pieces_bytes_equal_reference(h, w):
+    rng = np.random.default_rng(10 * h + w)
+    rows, cols = np.meshgrid((np.arange(h) + 0.5) / h, (np.arange(w) + 0.5) / w, indexing="ij")
+    edges = [0.0, 1.0, -0.0, 0.5 / h, 1.0 - 0.5 / w, -1e-12, 1.0 + 1e-12, -0.7, 2.5, np.nan]
+    pts = np.concatenate([
+        np.stack([rows.ravel(), cols.ravel()], axis=1),  # cell centres: one weight is 1
+        np.array([(a, b) for a in edges for b in edges]),  # the border, just outside it, far out, NaN
+        rng.uniform(-0.3, 1.3, size=(200, 2)),
+    ])
+    with np.errstate(invalid="ignore"):  # a NaN point's floor has no integer
+        got = ta._bilinear_pieces(h, w, pts)
+        want = _reference_pieces(h, w, pts)
+    for name, a, b in zip(("lin", "valid", "weights", "fi", "fj"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_pool_tasks_run_under_the_callers_error_state():
+    big = np.array([1e308])
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            ta._on_pool(lambda x: x * 10.0, [big, big])
+        with pytest.raises(FloatingPointError):
+            ta._on_pool(lambda: big * 10.0).result()
+    with np.errstate(all="ignore"):
+        assert [x[0] for x in ta._on_pool(lambda x: x * 10.0, [big, -big])] == [np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("level_shapes,pts_shapes,match", [

@@ -169,7 +169,7 @@ def test_checkpoint_round_trip(tmp_path, world):
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(params, eff_bank, dataset, eff_cfg, tcfg)
     path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(result.params, path, eff_cfg, eff_bank, {"truncation": 3.0}, "abc123")
+    save_checkpoint(result.params, path, eff_cfg, eff_bank, {"truncation": 3.0}, "abc123", scenes[0].extent)
     loaded = load_checkpoint(path)
     assert sorted(loaded) == sorted(result.params)
     for name in loaded:
@@ -177,13 +177,14 @@ def test_checkpoint_round_trip(tmp_path, world):
     assert loaded.decoder_cfg == eff_cfg
     assert [p.points.tolist() for p in loaded.bank.priors] == [p.points.tolist() for p in eff_bank.priors]
     assert (loaded.features, loaded.dataset_fingerprint) == ({"truncation": 3.0}, "abc123")
+    assert loaded.extent == scenes[0].extent
 
 
-@pytest.mark.parametrize("missing", ["decoder", "features", "dataset_fingerprint"])
+@pytest.mark.parametrize("missing", ["decoder", "features", "dataset_fingerprint", "extent"])
 def test_checkpoint_without_run_record_refused(tmp_path, world, missing):
     scenes, dcfg, dataset, bank = world
     path = str(tmp_path / "ckpt.npz")
-    save_checkpoint({"w": ta.Tensor(np.zeros(2))}, path, dcfg, None, {"truncation": 3.0}, "abc123")
+    save_checkpoint({"w": ta.Tensor(np.zeros(2))}, path, dcfg, None, {"truncation": 3.0}, "abc123", scenes[0].extent)
     with np.load(path) as data:
         meta = json.loads(str(data["_meta"]))
     meta[missing] = None
