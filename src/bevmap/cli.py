@@ -39,7 +39,7 @@ from .config import (
 )
 from .decoder import forward
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
-from .geometry import GeometryError, Scene, load_scene, save_scene
+from .geometry import BevExtent, GeometryError, Scene, load_scene, save_scene
 from .priors import BankParseError, FitError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
 from .rngutil import substream
 from .synth import generate_scene
@@ -79,24 +79,26 @@ def _require_path(path: str, what: str) -> str:
     return path
 
 
-def _load_scene(path: str) -> Scene:
-    try:
-        return load_scene(path)
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"{path}: malformed scene file ({type(e).__name__}: {e})") from e
-
-
-def _load_scene_dir(data_dir: str, n_points: int) -> list[Scene]:
+def _load_scene_dir(data_dir: str, n_points: int) -> tuple[list[Scene], str]:
     """Every scene file under `data_dir`/scenes, each checked to hold
     finite elements of `n_points` points inside its extent, which must be
-    the first scene's."""
+    the first scene's, and their fingerprint: a sha256 of the loaded scenes,
+    so `-60` and `-60.0` hash alike.  It covers the extent (the four bounds
+    as float64, then h and w) and, per scene in file order, the element count
+    and each element's class, kind, point count and float64 points; the seed
+    is provenance and stays out."""
     scenes_dir = os.path.join(data_dir, "scenes")
     _require_path(scenes_dir, "scene directory")
     names = sorted(n for n in os.listdir(scenes_dir) if n.endswith(".json"))
     if not names:
         raise CliError(f"no scene files under {scenes_dir}")
     paths = [os.path.join(scenes_dir, n) for n in names]
-    scenes = [_load_scene(path) for path in paths]
+    scenes = []
+    for path in paths:
+        try:
+            scenes.append(load_scene(path))
+        except (ValueError, KeyError, TypeError) as e:
+            raise CliError(f"{path}: malformed scene file ({type(e).__name__}: {e})") from e
     for path, scene in zip(paths, scenes):
         if scene.extent != scenes[0].extent:
             raise CliError(f"{path}: extent {scene.extent} differs from {paths[0]}'s {scenes[0].extent}")
@@ -105,17 +107,22 @@ def _load_scene_dir(data_dir: str, n_points: int) -> list[Scene]:
             scene.validate(n_points)
     except GeometryError as e:
         raise CliError(f"{data_dir}: {e}; scenes.n_points is {n_points}") from e
-    return scenes
+    ext = scenes[0].extent
+    digest = hashlib.sha256(np.array([ext.x_min, ext.x_max, ext.y_min, ext.y_max], "<f8").tobytes())
+    digest.update(np.array([ext.h, ext.w], "<i8").tobytes())
+    for scene in scenes:
+        digest.update(np.array(len(scene.elements), "<i8").tobytes())
+        for e in scene.elements:
+            digest.update(np.array(e.class_id, "<i8").tobytes() + e.kind.encode() + b"\0"
+                          + np.array(e.n_points, "<i8").tobytes() + np.ascontiguousarray(e.points, "<f8").tobytes())
+    return scenes, digest.hexdigest()
 
 
-def _dataset_fingerprint(data_dir: str) -> str:
-    scenes_dir = os.path.join(data_dir, "scenes")
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(scenes_dir)):
-        if name.endswith(".json"):
-            with open(os.path.join(scenes_dir, name), "rb") as f:
-                digest.update(hashlib.sha256(f.read()).digest())
-    return digest.hexdigest()
+def _check_extent(data_dir: str, scenes: list[Scene], extent: BevExtent, source: str) -> None:
+    """A CliError unless the scenes under `data_dir` have `extent`, the one
+    the model was trained on; the extent holds the feature grid."""
+    if scenes[0].extent != extent:
+        raise CliError(f"{data_dir}: scenes have extent {scenes[0].extent}, {source} {extent}")
 
 
 def _write_csv(path: str, rows: list[list]) -> None:
@@ -126,12 +133,6 @@ def _write_csv(path: str, rows: list[list]) -> None:
 def _snapshot(cfg: RunConfig, command: str) -> None:
     os.makedirs(cfg.io.out_dir, exist_ok=True)
     save_config(cfg, os.path.join(cfg.io.out_dir, f"{command}_config.json"), command=command)
-
-
-def _check_grid(dataset, pos_shape: tuple, where: str) -> None:
-    grid = dataset[0].pyramid.levels[0].shape
-    if grid != pos_shape:
-        raise CliError(f"{where}: level-0 feature grid {grid} does not match the model's adapter.pos {pos_shape}")
 
 
 def _feature_dataset(scenes: list[Scene], cfg: RunConfig):
@@ -164,7 +165,7 @@ def cmd_gen_data(cfg: RunConfig) -> None:
 
 def cmd_fit_priors(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    scenes = _load_scene_dir(data_dir, cfg.scenes.n_points)
+    scenes, fingerprint = _load_scene_dir(data_dir, cfg.scenes.n_points)
     elements = [e for s in scenes for e in s.elements]
     try:
         fit = fit_clusters(elements, scenes[0].extent, cfg.priors.k, cfg.seed, cfg.priors.max_iters)
@@ -175,7 +176,7 @@ def cmd_fit_priors(cfg: RunConfig) -> None:
                 "k": cfg.priors.k,
                 "seed": cfg.seed,
                 "iterations": fit.iterations,
-                "dataset_fingerprint": _dataset_fingerprint(data_dir),
+                "dataset_fingerprint": fingerprint,
             },
         )
     except FitError as e:
@@ -188,8 +189,12 @@ def cmd_fit_priors(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    scenes = _load_scene_dir(data_dir, cfg.scenes.n_points)
-    fingerprint = _dataset_fingerprint(data_dir)
+    scenes, fingerprint = _load_scene_dir(data_dir, cfg.scenes.n_points)
+    val_scenes = None
+    if cfg.io.val_dir:
+        val_dir = _require_path(cfg.io.val_dir, "validation dataset (io.val_dir)")
+        val_scenes, _ = _load_scene_dir(val_dir, cfg.scenes.n_points)
+        _check_extent(val_dir, val_scenes, scenes[0].extent, f"the training scenes in {data_dir} have")
 
     bank = None
     if cfg.decoder.n_prior > 0:
@@ -204,11 +209,7 @@ def cmd_train(cfg: RunConfig) -> None:
     except ContractViolation as e:
         raise CliError(f"{cfg.io.priors_path}: {e}") from e
     dataset = _feature_dataset(scenes, cfg)
-    val = None
-    if cfg.io.val_dir:
-        val_dir = _require_path(cfg.io.val_dir, "validation dataset (io.val_dir)")
-        val = _feature_dataset(_load_scene_dir(val_dir, cfg.scenes.n_points), cfg)
-        _check_grid(val, dataset[0].pyramid.levels[0].shape, cfg.io.val_dir)
+    val = None if val_scenes is None else _feature_dataset(val_scenes, cfg)
     _snapshot(cfg, "train")
 
     try:
@@ -273,12 +274,9 @@ def _evaluate_params(params, bank, dataset, cfg: RunConfig):
 
 def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
-    scenes = _load_scene_dir(data_dir, cfg.scenes.n_points)
+    scenes, _ = _load_scene_dir(data_dir, cfg.scenes.n_points)
+    _check_extent(data_dir, scenes, ckpt.extent, f"the checkpoint {cfg.io.checkpoint_path} was trained on")
     dataset = _feature_dataset(scenes, cfg)
-    _check_grid(dataset, ckpt["adapter.pos"].shape, data_dir)
-    if scenes[0].extent != ckpt.extent:
-        raise CliError(f"{data_dir}: scenes have extent {scenes[0].extent}, "
-                       f"the checkpoint {cfg.io.checkpoint_path} was trained on {ckpt.extent}")
     _snapshot(cfg, "eval")
     report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg)
     out_dir = cfg.io.out_dir

@@ -304,16 +304,16 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def _check_fit(ckpt: Checkpoint, path: str) -> None:
     """A CheckpointError unless the params and the bank are the ones the
-    decoder config in _meta needs; the grid of `adapter.pos` is checked
-    against the data it meets."""
+    decoder config in _meta needs, with `adapter.pos` on the grid of the
+    extent in _meta."""
     cfg = ckpt.decoder_cfg
     try:
         check_bank(ckpt.bank, cfg)
     except ContractViolation as e:
         raise CheckpointError(f"{path}: {e}") from e
     want = {name: t.shape for name, t in init_model_params(cfg, 0).items()}
-    want.update({"adapter.w": (cfg.channels, cfg.channels), "adapter.b": (cfg.channels,)})
-    want["adapter.pos"] = ckpt["adapter.pos"].shape if "adapter.pos" in ckpt else None
+    want.update({"adapter.w": (cfg.channels, cfg.channels), "adapter.b": (cfg.channels,),
+                 "adapter.pos": (cfg.channels, ckpt.extent.h, ckpt.extent.w)})
     for name in sorted(want.keys() | ckpt.keys()):
         if name not in ckpt:
             raise CheckpointError(f"{path}: no parameter {name}, which the decoder in _meta needs")

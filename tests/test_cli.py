@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,9 @@ def test_model_keys_give_back_the_decoder_config(overrides):
     assert again.decoder_cfg == cfg.decoder_cfg
 
 
+PIPELINE_EXTENT = "BevExtent(x_min=-30.0, x_max=30.0, y_min=-15.0, y_max=15.0, h=32, w=16)"
+TALL_EXTENT = "BevExtent(x_min=-30.0, x_max=30.0, y_min=-15.0, y_max=15.0, h=24, w=16)"
+WIDE_EXTENT = "BevExtent(x_min=-60.0, x_max=60.0, y_min=-15.0, y_max=15.0, h=32, w=16)"
 MIXED_EXTENT = ("error (CliError): {mixed_last}: extent BevExtent(x_min=-30.0, x_max=30.0, y_min=-15.0, "
                 "y_max=15.0, h=24, w=16) differs from {mixed_first}'s")
 
@@ -293,8 +297,12 @@ def _one_line_error(capsys) -> str:
      "error (CliError): {old_variant}: malformed _meta entry (ContractViolation: unknown attention variant"),
     ("eval", ["--checkpoint", "{not_json}"], "error (CliError): {not_json}: malformed _meta entry (JSONDecodeError"),
     ("eval", ["--checkpoint", "{no_format}"], "error (CliError): {no_format}: malformed _meta entry (KeyError"),
-    ("eval", ["--data", "{tall}"], "error (CliError): {tall}: level-0 feature grid (16, 24, 16) does not match"),
-    ("train", ["--val", "{tall}"], "error (CliError): {tall}: level-0 feature grid (16, 24, 16) does not match"),
+    ("eval", ["--data", "{tall}"],
+     f"error (CliError): {{tall}}: scenes have extent {TALL_EXTENT}, the checkpoint {{ckpt}} was trained on "
+     f"{PIPELINE_EXTENT}"),
+    ("train", ["--val", "{tall}"],
+     f"error (CliError): {{tall}}: scenes have extent {TALL_EXTENT}, the training scenes in {{data}} have "
+     f"{PIPELINE_EXTENT}"),
     ("train", ["--set", "scenes.n_points=6"], "error (CliError): {data}: element 0 has 8 points, expected 6"),
     ("gen-data", ["--count", "-1"], "error (ConfigError): scenes: count must be an integer >= 0, got -1"),
     ("gen-data", ["--set", 'seed="abc"'], "error (ConfigError): seed must be an integer, got 'abc'"),
@@ -376,6 +384,12 @@ def _one_line_error(capsys) -> str:
      "error (CliError): {wide}: scenes have extent BevExtent(x_min=-60.0, x_max=60.0, y_min=-15.0, y_max=15.0, "
      "h=32, w=16), the checkpoint {ckpt} was trained on BevExtent(x_min=-30.0, x_max=30.0, y_min=-15.0, "
      "y_max=15.0, h=32, w=16)"),
+    ("train", ["--val", "{wide}"],
+     f"error (CliError): {{wide}}: scenes have extent {WIDE_EXTENT}, the training scenes in {{data}} have "
+     f"{PIPELINE_EXTENT}"),
+    ("eval", ["--checkpoint", "{pos_grid}"],
+     "error (CliError): {pos_grid}: parameter adapter.pos has shape (16, 24, 16), the decoder in _meta needs "
+     "(16, 32, 16)"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_data, tmp_path, capsys,
                                          command, args, expected):
@@ -401,6 +415,7 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_d
         "no_ffn": str(tmp_path / "no_ffn.npz"),
         "no_pos": str(tmp_path / "no_pos.npz"),
         "short_q": str(tmp_path / "short_q.npz"),
+        "pos_grid": str(tmp_path / "pos_grid.npz"),
     }
     (tmp_path / "bank.json").write_text(json.dumps({"priors": 3}))
     (tmp_path / "pickle.npz").write_bytes(pickle.dumps({"a": 1}))
@@ -421,6 +436,7 @@ def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_d
     np.savez(paths["no_ffn"], **{k: v for k, v in arrays.items() if k != "layers.1.ffn1.w"})
     np.savez(paths["no_pos"], **{k: v for k, v in arrays.items() if k != "adapter.pos"})
     np.savez(paths["short_q"], **{**arrays, "q_ins": np.zeros((3, 16))})
+    np.savez(paths["pos_grid"], **{**arrays, "adapter.pos": np.zeros((16, 24, 16))})
     inputs = {
         "gen-data": [],
         "fit-priors": ["--scenes", data, "--k", "4", "--n-pri", "4"],
@@ -479,6 +495,61 @@ def test_bad_scene_file_is_one_line(pipeline, tmp_path, capsys, command, damage,
     assert cli.main([command, *inputs, "--out", str(out), *TINY]) == 2
     assert expected.format(scene=scene, data=bad) in _one_line_error(capsys)
     assert not (out / f"{command}_config.json").exists()
+
+
+@pytest.fixture(scope="module")
+def spelled_data(tmp_path_factory):
+    """The same two wide scenes with their extent written as ints and as
+    floats, each with a prior bank fitted on it."""
+    root = tmp_path_factory.mktemp("spelled")
+    made = {}
+    for name, (lo, hi) in {"int": ("-60", "60"), "float": ("-60.0", "60.0")}.items():
+        data, bank = str(root / name), str(root / f"{name}_bank.json")
+        assert cli.main(["gen-data", "--out", data, "--count", "2", "--seed", "7", *TINY,
+                         "--set", f"scenes.extent.x_min={lo}", "--set", f"scenes.extent.x_max={hi}"]) == 0
+        assert cli.main(["fit-priors", "--scenes", data, "--k", "4", "--n-pri", "4", "--seed", "7",
+                         "--out", str(root / f"{name}_priors"), "--out-file", bank, *TINY]) == 0
+        made[name] = data, bank
+    return made
+
+
+def _bank_fingerprint(path: str) -> str:
+    with open(path) as f:
+        return json.load(f)["meta"]["dataset_fingerprint"]
+
+
+def test_fingerprint_is_of_the_scenes_not_their_spelling(spelled_data):
+    (int_data, int_bank), (float_data, float_bank) = spelled_data["int"], spelled_data["float"]
+    scene = os.path.join("scenes", "scene_00000.json")
+    with open(os.path.join(int_data, scene), "rb") as a, open(os.path.join(float_data, scene), "rb") as b:
+        assert a.read() != b.read()
+    assert _bank_fingerprint(int_bank) == _bank_fingerprint(float_bank)
+
+
+def test_fingerprint_keeps_a_reindented_file_and_sees_one_ulp(spelled_data, tmp_path):
+    data, bank = spelled_data["float"]
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    before = cli._load_scene_dir(str(copy), 8)[1]
+    assert before == _bank_fingerprint(bank)
+    scene = copy / "scenes" / "scene_00001.json"
+    doc = json.loads(scene.read_text())
+    with open(scene, "w") as f:
+        json.dump(doc, f, indent=2)
+    assert cli._load_scene_dir(str(copy), 8)[1] == before
+    point = doc["elements"][0]["points"][3]
+    point[0] = float(np.nextafter(point[0], np.inf))
+    scene.write_text(json.dumps(doc))
+    assert cli._load_scene_dir(str(copy), 8)[1] != before
+
+
+def test_train_on_respelled_scenes_takes_their_bank_without_a_warning(spelled_data, tmp_path):
+    (_, int_bank), (float_data, _) = spelled_data["int"], spelled_data["float"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--data", float_data, "--priors", int_bank, "--steps", "1", "--seed", "7",
+                         "--out", str(tmp_path / "run"), *TINY]) == 0
+    assert [str(w.message) for w in caught if "prior bank was fitted" in str(w.message)] == []
 
 
 @pytest.mark.parametrize("content,expected", [

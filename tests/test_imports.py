@@ -47,23 +47,29 @@ def test_only_tensorad_imports_concurrency():
     assert {name: mods for name, mods in found.items() if mods and name != "tensorad.py"} == {}
 
 
-def _pool_uses(source: str) -> dict[str, set[str]]:
-    """Per top-level function, the attributes read from `_POOL` (a bare use reads "")."""
+def _uses(source: str, name: str) -> dict[str, set[str]]:
+    """Per top-level function, the attributes read from `name` (a bare use reads "")."""
     found: dict[str, set[str]] = {}
     for top in ast.parse(source).body:
-        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_POOL":
-                found.setdefault(name, set()).add(node.attr)
-            elif isinstance(node, ast.Name) and node.id == "_POOL" and isinstance(node.ctx, ast.Load):
-                found.setdefault(name, set()).add("")
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name:
+                found.setdefault(where, set()).add(node.attr)
+            elif isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                found.setdefault(where, set()).add("")
     return found
 
 
 def test_pool_hand_offs_go_through_one_helper():
     # `_on_pool` runs every task in a copy of the caller's context, so numpy's
     # error state holds on the pool threads too
-    assert _pool_uses((SRC / "tensorad.py").read_text()) == {"_on_pool": {"", "map", "submit"}}
+    assert _uses((SRC / "tensorad.py").read_text(), "_POOL") == {"_on_pool": {"", "map", "submit"}}
+
+
+def test_scene_files_are_read_in_one_place():
+    # `_load_scene_dir` checks and fingerprints what it reads, so every
+    # command that reads scenes gets both
+    assert _uses((SRC / "cli.py").read_text(), "load_scene") == {"_load_scene_dir": {""}}
 
 
 def test_every_benchmark_patch_resolves():
