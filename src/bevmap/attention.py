@@ -232,7 +232,6 @@ def _msda_stage(
     """
     t_n = tokens.shape[0]
     nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
-    head_dim = c // nh
     if len(levels) != m:
         raise ContractViolation(f"msda: pyramid has {len(levels)} levels, params expect {m}")
     if tokens.shape != (t_n, c):
@@ -256,11 +255,8 @@ def _msda_stage(
         off_l = ta.reshape(ta.slice_axis(off, axis=2, start=lvl, stop=lvl + 1), (t_n, nh, n, 2))
         cell = Tensor(np.broadcast_to(np.array([1.0 / h_l, 1.0 / w_l]), (t_n, nh, n, 2)).copy())
         pts.append(ta.add(ref_e, ta.multiply(off_l, cell)))
-    # samples projected per head: (Nh, T*M*N, D), head-major
-    v = ta.reshape(ta.sample_levels(levels, pts, stage.val_w, table), (nh, t_n, m * n, head_dim))
-    # weighted sum over the (level, point) group via batched matmul
-    w_h = ta.reshape(ta.transpose(weights, (1, 0, 2, 3)), (nh, t_n, 1, m * n))
-    agg = ta.reshape(ta.matmul(w_h, v), (nh, t_n, head_dim))
+    # each head's samples, projected and summed with their weights: (Nh, T, C/Nh)
+    agg = ta.sample_levels(levels, pts, weights, stage.val_w, table)
     out = ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0)  # (T, C)
     return out, atn
 

@@ -21,13 +21,20 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import BevExtent, MapElement, equivalent_orderings, normalize
 from .tensorad import stable_sigmoid
 
 if TYPE_CHECKING:  # losses imports this module
     from .losses import LossConfig
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's solver, imported on the first call: `scipy.optimize` costs
+    ~10 MB, and a forward-only run never matches."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 class MatchingError(ValueError):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import (
     BevExtent,
@@ -214,6 +213,8 @@ def min_area_rect(points: np.ndarray) -> np.ndarray:
     upper half plane (ties toward +x).  A stable phase matters because the
     perimeter is later resampled starting from the first corner.
     """
+    from scipy.spatial import ConvexHull, QhullError  # loaded where it runs, as in `chamfer`
+
     pts = np.asarray(points, dtype=np.float64)
     try:
         hull = pts[ConvexHull(pts).vertices]

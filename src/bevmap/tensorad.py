@@ -632,42 +632,60 @@ def add_rows(x: Tensor, b: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Multi-level bilinear sampling with a per-head value projection
-# (align-corners-false, zero padding outside the grid)
+# Multi-level bilinear sampling, a per-head value projection and the
+# attention-weighted sum (align-corners-false, zero padding outside the grid)
 #
 # The kernel is a sparse blend operator: one CSR matrix holding each
 # sample's four corner weights, applied to a single channel-last table that
-# stacks every level's (h*w, C) rows.  Its rows come out head-major, so head
-# h's samples are one block of rows that its (C, D) value projection reads
-# as is.  Every summation order is pinned on purpose and matches the dense
-# gather / einsum / `ufunc.at` scatter formulation, followed by numpy's
-# batched matmul, bit for bit (tests/test_tensorad.py keeps the sampler's
-# reference): training is chaotic in rounding, so a reordered sum grows
-# into a different model within a few dozen steps.
+# stacks every level's (h*w, C) rows.  Its rows come out head-major, so a
+# head's samples are one block of rows that its (C, D) value projection reads
+# as is.  Each query's M*N projected samples of a head are then summed with
+# its attention weights, inside the sampler, as Deformable DETR's kernel
+# weights samples in its sampling pass (Zhu et al., arXiv 2010.04159).  Every
+# summation order is pinned on purpose and matches the dense gather / einsum /
+# `ufunc.at` scatter formulation, followed by numpy's batched projection and
+# weighting matmuls, bit for bit (tests/test_tensorad.py keeps the sampler's
+# reference): training is chaotic in rounding, so a reordered sum grows into
+# a different model within a few dozen steps.
 #
-# A forward call of at least _PARALLEL_VALUES sampled values (Nh*T*M*N*C)
-# runs head by head on a pool of one thread per usable CPU; numpy, scipy's
-# sparse product and BLAS release the GIL.  A head's block is the same row
-# products and the same dgemm as the one-thread path, so the bytes do not
-# depend on the path.  Smaller forward calls (the C=32 training shapes make
-# at most ~1.0 M values) stay on the calling thread, where hand-offs cost
-# more than they save.
+# A call works in head blocks.  A block computes its own points' corners and
+# blend rows, then its samples S = blend @ table, their projection v = S @
+# val_w[h] and the weighted sum w_h @ v, and keeps none of them.  A forward
+# call of fewer than _PARALLEL_VALUES sampled values (Nh*T*M*N*C) is one
+# block of all heads on the calling thread: the C=32 training shapes make at
+# most ~1.0 M values, and there hand-offs cost more than they save.  A larger
+# call runs one head per task on a pool of one thread per usable CPU; numpy,
+# scipy's sparse product and BLAS release the GIL.  So no whole-call blend
+# matrix, corner array or per-sample array is built, and each thread holds
+# one head's samples.  A head's block is the same row products and the same
+# dgemm calls as the all-heads block, so the bytes do not depend on the path.
+# A head's rows are never split further: a block of rows of A @ B is not
+# byte-equal to that block's own product with B.
 #
-# The tape node keeps the points (16 B per sample), the shared table and
-# val_w, and recomputes the rest in the backward (Chen et al., arXiv
+# The tape node keeps the points (16 B per sample), the weights, the shared
+# table and val_w, and recomputes the rest in the backward (Chen et al., arXiv
 # 1604.06174: recompute instead of keep).  Its corner arrays (84 B per sample)
 # and its blend matrix (48 B) are rebuilt from the points by the forward's own
 # code, so the bytes are the forward's.  The calling thread recomputes the
 # corners and from them computes the level and point gradients; one pool task
-# rebuilds the blend matrix from those corners, recomputes the samples (the
-# widest array a call makes) and computes val_w's gradient.  Every pool task
-# goes through `_on_pool`.  This module is the only one in the package that
-# starts threads.
+# rebuilds the blend matrix from those corners, recomputes the samples and
+# their projections (the widest arrays a call makes) and computes the
+# gradients of val_w and of the weights.  Every pool task goes through
+# `_on_pool`.  This module is the only one in the package that starts
+# threads.
 # --------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where the OS has no
+    affinity call (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 _PARALLEL_VALUES = 2**21
 _DOT_ROWS = 1024  # samples per gathered block in the backward's corner dots
-_WORKERS = len(os.sched_getaffinity(0))
+_WORKERS = _usable_cpus()
 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="bevmap")  # threads start with the first hand-off
 
 
@@ -784,19 +802,24 @@ def level_table(levels: Sequence[Tensor]) -> np.ndarray:
 
 
 def sample_levels(
-    levels: Sequence[Tensor], pts: Sequence[Tensor], val_w: Tensor, table: np.ndarray | None = None
+    levels: Sequence[Tensor],
+    pts: Sequence[Tensor],
+    weights: Tensor,
+    val_w: Tensor,
+    table: np.ndarray | None = None,
 ) -> Tensor:
     """Bilinearly sample M C x h_l x w_l levels, level l at the normalized
-    (row, col) points pts[l] of shape (T, Nh, N, 2), and project head h's
-    samples by val_w[h] of shape (C, D).
+    (row, col) points pts[l] of shape (T, Nh, N, 2), project head h's
+    samples by val_w[h] of shape (C, D), and sum each query's M*N projected
+    samples of head h with its weights[:, h] of shape (T, M, N).
 
-    Returns (Nh, T*M*N, D) with rows ordered (head, query, level, point).
-    `table` is `level_table` of `levels` or of a list they begin; it is
-    built here when omitted.
+    Returns (Nh, T, D).  `table` is `level_table` of `levels` or of a list
+    they begin; it is built here when omitted.
     """
-    # from here on the three names hold arrays; the tape gets the tensors
-    inputs = [*levels, *pts, val_w]
-    levels, pts, val_w = [lv.values for lv in levels], [x.values for x in pts], val_w.values
+    # from here on these names hold arrays; the tape gets the tensors
+    inputs = [*levels, *pts, weights, val_w]
+    levels, pts = [lv.values for lv in levels], [x.values for x in pts]
+    weights, val_w = weights.values, val_w.values
     m = len(levels)
     _check_levels(levels)
     _require(len(pts) == m, f"sample_levels: {m} levels but {len(pts)} point tensors")
@@ -806,8 +829,11 @@ def sample_levels(
                  f"sample_levels: point tensors differ in leading shape, {[x.shape for x in pts]}")
     t, nh, n = pts[0].shape[:-1]
     c = levels[0].shape[0]
+    _require(weights.shape == (t, nh, m, n),
+             f"sample_levels: weights must be T x Nh x M x N = {(t, nh, m, n)}, got {weights.shape}")
     _require(val_w.ndim == 3 and val_w.shape[:2] == (nh, c),
              f"sample_levels: val_w must be Nh x C x D with Nh={nh}, C={c}, got {val_w.shape}")
+    d = val_w.shape[2]
     sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
     table = _stack_channel_last(levels) if table is None else table
     _require(table.shape[0] >= sum(sizes) and table.shape[1:] == (c,),
@@ -817,14 +843,16 @@ def sample_levels(
     shapes = [lv.shape for lv in levels]
     rows = t * m * n  # per head
 
-    def level_pieces():
-        return [_bilinear_pieces(h, w, x.reshape(-1, 2)) for (_, h, w), x in zip(shapes, pts)]
+    def level_pieces(h0, h1):
+        """Per level, the corners of heads h0..h1-1's points."""
+        return [_bilinear_pieces(h, w, x[:, h0:h1].reshape(-1, 2)) for (_, h, w), x in zip(shapes, pts)]
 
     def head_major(per_level):
-        """(4, T*Nh*N) per level -> (Nh, T, M, N, 4): (head, query, level, point, corner) order."""
-        out = np.empty((nh, t, m, n, 4), per_level[0].dtype)
+        """(4, T*k*N) per level -> (k, T, M, N, 4): (head, query, level, point, corner) order."""
+        k = per_level[0].shape[1] // (t * n)
+        out = np.empty((k, t, m, n, 4), per_level[0].dtype)
         for lvl, a in enumerate(per_level):
-            out[:, :, lvl] = a.T.reshape(t, nh, n, 4).swapaxes(0, 1)
+            out[:, :, lvl] = a.T.reshape(t, k, n, 4).swapaxes(0, 1)
         return out
 
     def blend_matrix(pieces):
@@ -833,38 +861,56 @@ def sample_levels(
         cols = head_major([pc[0] for pc in pieces])
         cols += offsets[:, None, None]
         return sp.csr_array((head_major([pc[2] for pc in pieces]).ravel(), cols.ravel(),
-                             np.arange(0, 4 * nh * rows + 1, 4)), shape=(nh * rows, table.shape[0]))
+                             np.arange(0, cols.size + 1, 4)), shape=(cols.size // 4, table.shape[0]))
 
-    blend = blend_matrix(level_pieces())
+    def project(h0, h1, blend):
+        """Heads h0..h1-1's samples (k, T*M*N, C) and their projections (k, T, M*N, D)."""
+        s = (blend @ table).reshape(h1 - h0, rows, c)
+        return s, (s @ val_w[h0:h1]).reshape(h1 - h0, t, m * n, d)
+
+    def weight_rows(h0, h1):
+        """Heads h0..h1-1's weights, one row per query: (k, T, 1, M*N)."""
+        return np.ascontiguousarray(weights[:, h0:h1].transpose(1, 0, 2, 3)).reshape(h1 - h0, t, 1, m * n)
+
+    def block(h0, h1):
+        """Heads h0..h1-1's weighted sums (k, T, D); their samples die with the call."""
+        v = project(h0, h1, blend_matrix(level_pieces(h0, h1)))[1]
+        return (weight_rows(h0, h1) @ v).reshape(h1 - h0, t, d)
+
     if nh * rows * c < _PARALLEL_VALUES:
-        out = (blend @ table).reshape(nh, rows, c) @ val_w
+        out = block(0, nh)
     else:
-        out = np.empty((nh, rows, val_w.shape[2]))
+        out = np.empty((nh, t, d))
 
         def head(h):
-            np.matmul(blend[h * rows : (h + 1) * rows] @ table, val_w[h], out=out[h])
+            out[h] = block(h, h + 1)[0]
 
         _on_pool(head, range(nh))
 
-    # the node keeps the points, not their corners: the backward recomputes them
+    # the node keeps the points and weights, not their corners and samples:
+    # the backward recomputes them
     def backward(g):
-        pieces = level_pieces()
+        pieces = level_pieces(0, nh)
+        g = g.reshape(nh, t, 1, d)
+        # the weighted sum's backward, as for numpy's batched matmul
+        g_v = (np.swapaxes(weight_rows(0, nh), -1, -2) @ g).reshape(nh, rows, d)
 
-        def val_w_grad():
-            # the forward's samples, recomputed by its blend matrix rebuilt from `pieces`
-            s = (blend_matrix(pieces) @ table).reshape(nh, -1, table.shape[1])
-            return np.swapaxes(s, -1, -2) @ g
+        def pooled_grads():
+            # the forward's samples and projections, by its blend matrix rebuilt from `pieces`
+            s, v = project(0, nh, blend_matrix(pieces))
+            g_weights = (g @ np.swapaxes(v, -1, -2)).reshape(nh, t, m, n)
+            return [np.ascontiguousarray(g_weights.transpose(1, 0, 2, 3)), np.swapaxes(s, -1, -2) @ g_v]
 
-        g_val_w = _on_pool(val_w_grad)
-        g_s = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, m, n, -1)
+        weights_and_val_w = _on_pool(pooled_grads)
+        g_s = (g_v @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, m, n, -1)
         g_levels, g_pts = [], []
-        for lvl, ((c, h, w), off, (lin, valid, weights, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
+        for lvl, ((c, h, w), off, (lin, valid, corner_w, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
             # this level's upstream rows, back in (query, head, point) sample order
             g_l = np.ascontiguousarray(g_s[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
             # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
             # major then by sample; out-of-bounds corners carry weight 0, so their
             # clipped scatter adds zero
-            g_flat = _scatter_rows(lin.ravel(), g_l, h * w, weights.ravel())
+            g_flat = _scatter_rows(lin.ravel(), g_l, h * w, corner_w.ravel())
             g_levels.append(g_flat.T.reshape(c, h, w))
             # point gradient: derivative of the blend weights wrt the fractional offsets;
             # out-of-bounds corners contribute zero, so mask their value dot products
@@ -873,7 +919,7 @@ def sample_levels(
             d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
             d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
             g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
-        return g_levels + g_pts + [g_val_w.result()]
+        return g_levels + g_pts + weights_and_val_w.result()
 
     return _op("sample_levels", out, inputs, backward)
 
@@ -881,11 +927,13 @@ def sample_levels(
 def bilinear_sample(grid: Tensor, pts: Tensor) -> Tensor:
     """Sample a C x h x w grid at K normalized (row, col) points -> K x C.
 
-    The one-level, one-head case of `sample_levels`, projected by the
-    identity, which passes every finite sample and gradient through exactly.
+    The one-level, one-head, one-point case of `sample_levels`, with unit
+    weights and the identity projection, which pass every finite sample and
+    gradient through exactly.
     """
     _require(len(pts.shape) == 2 and pts.shape[1] == 2, f"bilinear_sample: pts must be K x 2, got {pts.shape}")
     k = pts.shape[0]
+    unit = Tensor(np.ones((k, 1, 1, 1)))
     identity = Tensor(np.eye(grid.shape[0])[None])
-    out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))], identity)
+    out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))], unit, identity)
     return reshape(out, (k, out.shape[-1]))

@@ -288,6 +288,28 @@ def test_two_concurrent_pooled_calls_give_equal_bytes(monkeypatch):
     assert first == second == inline
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_stage_weights_its_samples_inside_the_sampler(variant):
+    # the softmax weights reach the sampler through one reshape, and its
+    # output goes straight to the output projection: no transpose or matmul
+    # node weights the samples in between
+    q, r, lv = _random_setup(seed=40, levels=2, points=3)
+    params = init_msda_params(variant, 2, 2, 3, 16, seed=41)
+    with Tape() as tape:
+        msda(Tensor(q), [Tensor(x) for x in lv], Tensor(r), params)
+    kinds = [node.kind for node in tape.nodes]
+    softmaxes = [i for i, kind in enumerate(kinds) if kind == "softmax"]
+    assert len(softmaxes) == len(att._stages(variant, 2, 3))
+    for i in softmaxes:
+        projection = kinds.index("matmul", i)
+        between = kinds[i + 1 : projection]
+        assert "transpose" not in between and between.count("sample_levels") == 1
+        sampler = i + 1 + between.index("sample_levels")
+        weights = tape.nodes[tape.nodes[sampler].inputs[-2]]
+        assert weights.kind == "reshape" and weights.inputs == (i,)
+        assert tape.nodes[projection].inputs[0] == sampler
+
+
 # --------------------------------------------------------------------------
 # decoupled variants
 # --------------------------------------------------------------------------
@@ -323,11 +345,11 @@ def test_count_samples_equals_points_the_sampler_produces(monkeypatch, variant, 
     produced = []
     sample_levels = ta.sample_levels
 
-    def counting(levels, pts, val_w, table=None):
-        out = sample_levels(levels, pts, val_w, table)
-        heads, rows, _ = out.shape  # (Nh, T*M*N, D)
-        assert heads == 2
-        produced.append(rows // pts[0].shape[0])
+    def counting(levels, pts, weights, val_w, table=None):
+        out = sample_levels(levels, pts, weights, val_w, table)
+        queries, heads, points, _ = pts[0].shape  # each level's (T, Nh, N, 2)
+        assert heads == 2 and out.shape[:2] == (heads, queries)
+        produced.append(len(pts) * points)
         return out
 
     monkeypatch.setattr(ta, "sample_levels", counting)

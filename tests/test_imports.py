@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +87,30 @@ def test_every_benchmark_patch_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_scipy_optimize_and_spatial_load_where_they_run():
+    # together ~27 MB of RSS that a forward-only run never uses
+    script = """
+import importlib, pathlib, sys
+import numpy as np
+import bevmap
+for path in sorted(pathlib.Path(bevmap.__file__).parent.glob("*.py")):
+    importlib.import_module("bevmap." + path.stem)
+from bevmap import attention, matching
+from bevmap.tensorad import Tensor
+rng = np.random.default_rng(0)
+levels = [Tensor(rng.normal(size=(16, 8, 8))), Tensor(rng.normal(size=(16, 4, 4)))]
+params = attention.init_msda_params(attention.VARIANT_VANILLA, 2, 2, 2, 16, seed=1)
+attention.msda(Tensor(rng.normal(size=(5, 16))), levels, Tensor(rng.uniform(size=(5, 2))), params)
+print(sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules))
+cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+print(matching.hungarian(cost).pairs)
+from scipy.optimize import linear_sum_assignment
+print([(int(r), int(c)) for r, c in zip(*linear_sum_assignment(cost))])
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    loaded, pairs, solver = run.stdout.splitlines()
+    assert loaded == "[]"
+    assert [(g, q) for g, q, _ in ast.literal_eval(pairs)] == ast.literal_eval(solver) == [(0, 1), (1, 0), (2, 2)]

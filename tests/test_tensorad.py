@@ -235,9 +235,10 @@ def test_sample_levels_node_keeps_no_samples_and_backward_frees_every_context():
     t, nh, n, c = 5, 2, 3, 6
     levels = [Tensor(rng.normal(size=(c, 4, 5))), Tensor(rng.normal(size=(c, 2, 3)))]
     pts = [Tensor(rng.uniform(-0.1, 1.1, size=(t, nh, n, 2))) for _ in levels]
+    weights = Tensor(rng.uniform(size=(t, nh, len(levels), n)))
     val_w = Tensor(rng.normal(size=(nh, c, 3)))
     with Tape() as tape:
-        out = ta.sample_levels(levels, pts, val_w)
+        out = ta.sample_levels(levels, pts, weights, val_w)
         kept = inspect.getclosurevars(tape.nodes[out._nid].backward).nonlocals
         sizes = {a.size for a in _arrays(list(kept.values()))}
         assert sizes and nh * t * len(levels) * n * c not in sizes
@@ -250,17 +251,18 @@ def test_sample_levels_node_keeps_its_points_not_their_corners():
     t, nh, n, c = 5, 2, 3, 6
     levels = [Tensor(rng.normal(size=(c, 4, 5))), Tensor(rng.normal(size=(c, 2, 3)))]
     pts = [Tensor(rng.uniform(-0.1, 1.1, size=(t, nh, n, 2))) for _ in levels]
+    weights = Tensor(rng.uniform(size=(t, nh, len(levels), n)))
     val_w = Tensor(rng.normal(size=(nh, c, 3)))
     table = ta.level_table(levels)
     with Tape() as tape:
-        out = ta.sample_levels(levels, pts, val_w, table)
+        out = ta.sample_levels(levels, pts, weights, val_w, table)
         kept = list(_reachable(list(inspect.getclosurevars(tape.nodes[out._nid].backward).nonlocals.values())))
     assert not [x for x in kept if hasattr(x, "indptr")]  # no blend matrix
     arrays = list(_arrays(kept))
     assert 4 * t * nh * n not in {a.size for a in arrays}  # no corner array of any level
-    # beyond the level offsets: the points, the table and val_w, as the caller passed them
+    # beyond the level offsets: the points, the weights, the table and val_w, as the caller passed them
     large = [a for a in arrays if a.size > len(levels)]
-    assert large and all(any(a is x.values for x in [*pts, val_w]) or a.base is table for a in large)
+    assert large and all(any(a is x.values for x in [*pts, weights, val_w]) or a.base is table for a in large)
 
 
 def test_sum_of_losses_gradients_add():
@@ -388,13 +390,14 @@ def _case_scale(rng):
 def _case_sample_levels(rng):
     levels = [rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 3, 2))]
     pts = [rng.uniform(0.05, 0.95, size=(2, 2, 1, 2)) for _ in levels]  # 2 queries x 2 heads x 1 point
+    weights = rng.uniform(0.1, 1.0, size=(2, 2, 2, 1))  # queries x heads x levels x points
     val_w = rng.normal(size=(2, 2, 3))  # 2 heads, C=2, D=3
 
-    def fn(l0, l1, p0, p1, vw):
-        out = ta.sample_levels([l0, l1], [p0, p1], vw)
+    def fn(l0, l1, p0, p1, wt, vw):
+        out = ta.sample_levels([l0, l1], [p0, p1], wt, vw)
         return ta.reduce_sum(ta.multiply(out, out))
 
-    return fn, levels + pts + [val_w]
+    return fn, levels + pts + [weights, val_w]
 
 
 def _case_squared_hinge(rng):
@@ -685,6 +688,59 @@ def test_bilinear_matches_dense_reference_bytes(c, h, w, k):
     assert sample_major.tobytes() != want[1].tobytes()
 
 
+def _formula_sample_levels(grids, pts, weights, val_w, g):
+    """Reference chain for `sample_levels`: `_dense_bilinear` on each level,
+    then numpy's batched projection and weighting matmuls.  Returns the
+    output and the gradients wrt each grid, each point array, the weights
+    and val_w for upstream gradient g (Nh, T, D)."""
+    t, nh, m, n = weights.shape
+    c, d = grids[0].shape[0], val_w.shape[2]
+    samples = np.empty((nh, t, m, n, c))
+    for lvl, (grid, x) in enumerate(zip(grids, pts)):
+        out_l = _dense_bilinear(grid, x.reshape(-1, 2), np.zeros((t * nh * n, c)))[0]
+        samples[:, :, lvl] = out_l.reshape(t, nh, n, c).swapaxes(0, 1)
+    s = samples.reshape(nh, t * m * n, c)
+    v = (s @ val_w).reshape(nh, t, m * n, d)
+    w_h = np.ascontiguousarray(weights.transpose(1, 0, 2, 3)).reshape(nh, t, 1, m * n)
+    out = (w_h @ v).reshape(nh, t, d)
+    g4 = g.reshape(nh, t, 1, d)
+    g_weights = np.ascontiguousarray((g4 @ np.swapaxes(v, -1, -2)).reshape(nh, t, m, n).transpose(1, 0, 2, 3))
+    g_v = (np.swapaxes(w_h, -1, -2) @ g4).reshape(nh, t * m * n, d)
+    g_val_w = np.swapaxes(s, -1, -2) @ g_v
+    g_s = (g_v @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, m, n, c)
+    g_grids, g_pts = [], []
+    for lvl, (grid, x) in enumerate(zip(grids, pts)):
+        g_l = np.ascontiguousarray(g_s[:, :, lvl].swapaxes(0, 1)).reshape(t * nh * n, c)
+        _, g_grid, g_x = _dense_bilinear(grid, x.reshape(-1, 2), g_l)
+        g_grids.append(g_grid)
+        g_pts.append(g_x.reshape(x.shape))
+    return [out, *g_grids, *g_pts, g_weights, g_val_w]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_sample_levels_bytes_equal_formula_chain(monkeypatch, pooled):
+    if pooled:
+        monkeypatch.setattr(ta, "_PARALLEL_VALUES", 0)  # one head per pool task
+    rng = np.random.default_rng(29)
+    t, nh, n, c, d = 7, 3, 2, 5, 4
+    grids = [rng.normal(size=(c, 6, 7)), rng.normal(size=(c, 3, 4))]
+    pts = [rng.uniform(-0.2, 1.2, size=(t, nh, n, 2)) for _ in grids]  # some corners fall outside
+    pts[0][0, :, :, 0] = 1.0 - 0.25 / 6  # last row: clipped bottom corners collide
+    pts[1][1] = (3.0, -2.0)  # all four weights zero
+    weights = rng.uniform(size=(t, nh, len(grids), n))
+    val_w = rng.normal(size=(nh, c, d))
+    g = rng.normal(size=(nh, t, d))
+    with Tape() as tape:
+        leaves = [Tensor(x) for x in [*grids, *pts, weights, val_w]]
+        out = ta.sample_levels(leaves[:2], leaves[2:4], leaves[4], leaves[5])
+        grads = ta.backward(tape, ta.reduce_sum(ta.multiply(out, Tensor(g))))
+    got = [out.values] + [grads.of(x) for x in leaves]
+    want = _formula_sample_levels(grids, pts, weights, val_w, g)
+    names = ["output", "level 0", "level 1", "points 0", "points 1", "weights", "val_w"]
+    for name, a, b in zip(names, got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (4, 7)])
 def test_bilinear_pieces_bytes_equal_reference(h, w):
     rng = np.random.default_rng(10 * h + w)
@@ -713,6 +769,39 @@ def test_pool_tasks_run_under_the_callers_error_state():
         assert [x[0] for x in ta._on_pool(lambda x: x * 10.0, [big, -big])] == [np.inf, -np.inf]
 
 
+def test_pooled_call_holds_one_head_of_samples_per_worker(monkeypatch):
+    # one head's samples (rows x C) dwarf the output (T x D): a call that kept
+    # every head's samples, their projections or a whole-call blend matrix
+    # would not fit the bound
+    import tracemalloc
+
+    monkeypatch.setattr(ta, "_PARALLEL_VALUES", 0)  # every call and table goes to the pool
+    rng = np.random.default_rng(31)
+    t, nh, m, n, c, d = 250, 8, 1, 16, 16, 16
+    level = Tensor(rng.normal(size=(c, 40, 50)))
+    pts = Tensor(rng.uniform(size=(t, nh, n, 2)))
+    weights = Tensor(rng.uniform(size=(t, nh, m, n)))
+    val_w = Tensor(rng.normal(size=(nh, c, d)))
+    rows = t * m * n  # per head
+    table_b, out_b = 8 * 40 * 50 * c, 8 * nh * t * d
+    head_b = 8 * rows * (c + d)  # one head's samples and their projections
+    slack = 1 << 20  # one head's corners and blend matrix, built before its samples: < 1 MB
+    ta.sample_levels([level], [pts], weights, val_w)  # the pool's threads start outside the trace
+    tracemalloc.start()
+    try:
+        ta.sample_levels([level], [pts], weights, val_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_b + out_b + ta._WORKERS * head_b + slack
+
+
+def test_usable_cpus_counts_every_cpu_where_the_os_has_no_affinity_call(monkeypatch):
+    assert ta._usable_cpus() >= 1
+    monkeypatch.delattr(ta.os, "sched_getaffinity", raising=False)  # macOS, Windows
+    assert ta._usable_cpus() == (ta.os.cpu_count() or 1)
+
+
 @pytest.mark.parametrize("level_shapes,pts_shapes,match", [
     ([(2, 4, 4), (3, 2, 2)], [(1, 1, 1, 2)] * 2, "levels differ in channels"),
     ([(2, 4)], [(1, 1, 1, 2)], "levels must be C x h x w"),
@@ -722,9 +811,19 @@ def test_pool_tasks_run_under_the_callers_error_state():
 def test_sample_levels_contract_violations(level_shapes, pts_shapes, match):
     levels = [Tensor(np.zeros(s)) for s in level_shapes]
     pts = [Tensor(np.zeros(s)) for s in pts_shapes]
-    val_w = Tensor(np.zeros((pts_shapes[0][1], level_shapes[0][0], 1)))
+    t, nh, n = pts_shapes[0][:3]
+    weights = Tensor(np.zeros((t, nh, len(levels), n)))
+    val_w = Tensor(np.zeros((nh, level_shapes[0][0], 1)))
     with pytest.raises(ContractViolation, match=match) as err:
-        ta.sample_levels(levels, pts, val_w)
+        ta.sample_levels(levels, pts, weights, val_w)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("weights_shape", [(2, 3, 1, 4), (3, 2, 4), (3, 1, 1, 4), (2, 2, 1, 4), (3, 2, 2, 4)])
+def test_sample_levels_refuses_weights_not_queries_heads_levels_points(weights_shape):
+    level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 4, 2)))  # T=3, 2 heads, M=1, N=4
+    with pytest.raises(ContractViolation, match=r"weights must be T x Nh x M x N = \(3, 2, 1, 4\)") as err:
+        ta.sample_levels([level], [pts], Tensor(np.zeros(weights_shape)), Tensor(np.zeros((2, 2, 1))))
     assert "\n" not in str(err.value)
 
 
@@ -732,14 +831,15 @@ def test_sample_levels_contract_violations(level_shapes, pts_shapes, match):
 def test_sample_levels_refuses_a_val_w_not_heads_by_channels(val_w_shape):
     level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 1, 2)))  # C=2, 2 heads
     with pytest.raises(ContractViolation, match="val_w must be Nh x C x D with Nh=2, C=2") as err:
-        ta.sample_levels([level], [pts], Tensor(np.zeros(val_w_shape)))
+        ta.sample_levels([level], [pts], Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros(val_w_shape)))
     assert "\n" not in str(err.value)
 
 
 def test_sample_levels_refuses_a_table_too_short_for_its_levels():
     level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 1, 1, 2)))
     with pytest.raises(ContractViolation, match="does not hold 16 rows of 2 channels"):
-        ta.sample_levels([level], [pts], Tensor(np.zeros((1, 2, 2))), table=np.zeros((15, 2)))
+        ta.sample_levels([level], [pts], Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros((1, 2, 2))),
+                         table=np.zeros((15, 2)))
 
 
 @pytest.mark.parametrize("n_rows", [7, 1 << 16, (1 << 16) + 9])
