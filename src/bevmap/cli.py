@@ -37,7 +37,7 @@ from .config import (
     read_overrides,
     save_config,
 )
-from .decoder import forward
+from .decoder import NumericalError, forward
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
 from .geometry import BevExtent, GeometryError, Scene, load_scene, save_scene
 from .priors import BankParseError, FitError, abstract, check_fingerprint, fit_clusters, load_bank, save_bank
@@ -49,7 +49,6 @@ from .training import (
     CheckpointError,
     TrainingDiverged,
     build_dataset,
-    final_epoch_mean,
     load_checkpoint,
     project_pyramid,
     save_checkpoint,
@@ -64,6 +63,9 @@ class CliError(RuntimeError):
 
 # `bench-attn --variant` names of the attention variants
 BENCH_VARIANTS = {"vanilla": VARIANT_VANILLA, "scale-then-sample": VARIANT_SCALE_THEN_SAMPLE}
+
+# bootstrap resamples behind each paired interval of `stability-report`
+PAIRED_RESAMPLES = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -130,6 +132,12 @@ def _write_csv(path: str, rows: list[list]) -> None:
         csv.writer(f).writerows(rows)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _snapshot(cfg: RunConfig, command: str) -> None:
     os.makedirs(cfg.io.out_dir, exist_ok=True)
     save_config(cfg, os.path.join(cfg.io.out_dir, f"{command}_config.json"), command=command)
@@ -157,9 +165,7 @@ def cmd_gen_data(cfg: RunConfig) -> None:
         "seed_base": cfg.seed,
         "config": config_to_dict(cfg)["scenes"],
     }
-    with open(os.path.join(cfg.io.out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(cfg.io.out_dir, "manifest.json"), manifest)
     print(f"gen-data: wrote {cfg.scenes.count} scenes to {scenes_dir}")
 
 
@@ -210,7 +216,6 @@ def cmd_train(cfg: RunConfig) -> None:
         raise CliError(f"{cfg.io.priors_path}: {e}") from e
     dataset = _feature_dataset(scenes, cfg)
     val = None if val_scenes is None else _feature_dataset(val_scenes, cfg)
-    _snapshot(cfg, "train")
 
     try:
         # a diverging run is reported as one CliError, not also as numpy warnings
@@ -218,7 +223,9 @@ def cmd_train(cfg: RunConfig) -> None:
             result = train(params, bank, dataset, cfg.decoder_cfg, cfg.train_cfg, loss_cfg=cfg.loss)
     except TrainingDiverged as e:
         raise CliError(f"training diverged: {e}") from e
+    report = None if val is None else _evaluate_params(result.params, bank, val, cfg)
 
+    _snapshot(cfg, "train")
     out_dir = cfg.io.out_dir
     save_checkpoint(
         result.params,
@@ -229,42 +236,24 @@ def cmd_train(cfg: RunConfig) -> None:
         dataset_fingerprint=fingerprint,
         extent=scenes[0].extent,
     )
-
-    log_path = os.path.join(out_dir, "train_log.csv")
-    u_cols = [f"u_layer{i}" for i in range(1, cfg.decoder_cfg.n_layers)]
-    header = ["step", "loss_total", "loss_cls", "loss_pts", "loss_disc"] + u_cols + ["u_t"]
-    rows = [header]
-    for row in result.log:
-        rows.append([repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header])
-    _write_csv(log_path, rows)
-
-    epoch_len = min(len(scenes), len(result.log))
-    summary = {
-        "prior_mode": "prior" if cfg.decoder.n_prior > 0 else "random",
-        "steps": cfg.train.steps,
-        "final_epoch_len": epoch_len,
-        "final_epoch_u_t": final_epoch_mean(result.log, "u_t", epoch_len),
-        "final_epoch_loss": final_epoch_mean(result.log, "loss_total", epoch_len),
-        "u_t_series": [row["u_t"] for row in result.log],
-    }
-
-    if val is not None:
-        summary["val_mean_ap"] = _evaluate_params(result.params, bank, val, cfg).mean_ap
-
-    with open(os.path.join(out_dir, "stability.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"train: {cfg.train.steps} steps, n_prior={cfg.decoder.n_prior}, "
-          f"final-epoch u_t={summary['final_epoch_u_t']:.4f} -> {out_dir}")
+    header = list(result.log[0])
+    rows = [[repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header] for row in result.log]
+    _write_csv(os.path.join(out_dir, "train_log.csv"), [header] + rows)
+    if report is not None:
+        _write_report(report, out_dir, "val")
+    print(f"train: {cfg.train.steps} steps, n_prior={cfg.decoder.n_prior} -> {out_dir}")
 
 
+@np.errstate(all="ignore")  # a forward that goes non-finite is one CliError, not also numpy warnings
 def _evaluate_params(params, bank, dataset, cfg: RunConfig):
     preds_per_scene = []
     gts_per_scene = []
     for item in dataset:
         levels = project_pyramid(item.pyramid.levels, params)
-        outputs = forward(params, bank, levels, cfg.decoder_cfg)
-        final = outputs[-1]
+        try:
+            final = forward(params, bank, levels, cfg.decoder_cfg)[-1]
+        except NumericalError as e:
+            raise CliError(f"evaluation: {e}") from e
         preds_per_scene.append(
             predictions_from_output(final.class_logits.values, final.point_coords.values, item.scene.extent)
         )
@@ -272,44 +261,114 @@ def _evaluate_params(params, bank, dataset, cfg: RunConfig):
     return evaluate(preds_per_scene, gts_per_scene, tuple(cfg.eval.thresholds))
 
 
+def _write_report(report, out_dir: str, name: str) -> None:
+    _write_json(os.path.join(out_dir, f"{name}_report.json"), report_to_dict(report))
+    _write_csv(os.path.join(out_dir, f"{name}_report.csv"), report_to_csv_rows(report))
+
+
 def cmd_eval(cfg: RunConfig, ckpt: Checkpoint) -> None:
     data_dir = _require_path(cfg.io.data_dir, "scene dataset (io.data_dir)")
     scenes, _ = _load_scene_dir(data_dir, cfg.scenes.n_points)
     _check_extent(data_dir, scenes, ckpt.extent, f"the checkpoint {cfg.io.checkpoint_path} was trained on")
     dataset = _feature_dataset(scenes, cfg)
-    _snapshot(cfg, "eval")
     report = _evaluate_params(ckpt, ckpt.bank, dataset, cfg)
-    out_dir = cfg.io.out_dir
-    with open(os.path.join(out_dir, "eval_report.json"), "w") as f:
-        json.dump(report_to_dict(report), f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_csv(os.path.join(out_dir, "eval_report.csv"), report_to_csv_rows(report))
-    print(f"eval: mAP={report.mean_ap:.4f} over {len(dataset)} scenes -> {out_dir}")
+    _snapshot(cfg, "eval")
+    _write_report(report, cfg.io.out_dir, "eval")
+    print(f"eval: mAP={report.mean_ap:.4f} over {len(dataset)} scenes -> {cfg.io.out_dir}")
+
+
+def _parse(path: str, what: str, parse):
+    """`parse` of the open file at `path`; a missing or malformed file is one CliError."""
+    with open(_require_path(path, what), newline="") as f:
+        try:
+            return parse(f)
+        except (ValueError, KeyError, TypeError) as e:
+            raise CliError(f"{path}: malformed {what} ({type(e).__name__}: {e})") from e
+
+
+def _read_run(run_dir: str) -> tuple[dict, RunConfig, dict[str, float]]:
+    """A run's report entry, config and measures, from its snapshot, log and val report."""
+    snapshot = _require_path(os.path.join(run_dir, "train_config.json"), "run config snapshot")
+    overrides = read_overrides(snapshot)  # a ConfigError naming the file
+    try:
+        cfg = apply_overrides(RunConfig(), overrides)
+    except ConfigError as e:
+        raise CliError(f"{snapshot}: malformed run snapshot ({e})") from e
+    rows = _parse(os.path.join(run_dir, "train_log.csv"), "training log", lambda f: [
+        {k: float(row[k]) for k in ("scene", "u_t", "loss_total", "is")} for row in csv.DictReader(f)])
+    if len(rows) != cfg.train.steps:
+        raise CliError(f"{run_dir}: train_log.csv has {len(rows)} steps, train_config.json {cfg.train.steps}")
+    u_t, loss = [row["u_t"] for row in rows], [row["loss_total"] for row in rows]
+    k = len({row["scene"] for row in rows})  # the final epoch is the last k steps
+    entry = {"run_dir": run_dir, "prior_mode": "prior" if cfg.decoder.n_prior > 0 else "random",
+             "steps": cfg.train.steps, "final_epoch_len": k, "final_epoch_u_t": float(np.mean(u_t[-k:])),
+             "final_epoch_loss": float(np.mean(loss[-k:])), "u_t_series": u_t}
+    measures = {"final_epoch_u_t": entry["final_epoch_u_t"], "run_u_t": float(np.mean(u_t)),
+                "run_loss_total": float(np.mean(loss))}
+    revisits = [row["is"] for row in rows if not np.isnan(row["is"])]
+    if revisits:
+        measures["run_is"] = float(np.mean(revisits))
+    if cfg.io.val_dir:
+        entry["val_mean_ap"] = measures["val_mean_ap"] = _parse(
+            os.path.join(run_dir, "val_report.json"), "val report", lambda f: float(json.load(f)["mean_ap"]))
+    return entry, cfg, measures
+
+
+def _flat(doc: dict, prefix: str = ""):
+    """(dotted key, value) for every leaf of a config document, in its order."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _flat(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _paired(runs: list[tuple[dict, RunConfig, dict[str, float]]]) -> dict:
+    """Prior minus random per measure over the seeds with one run of each
+    arm: n, mean, SD, the seeds where prior is lower, and a bootstrap 95 %
+    interval of the mean.  Two runs of one seed and arm, or a pair whose
+    snapshots differ in more than decoder.n_prior and io.*, are a CliError."""
+    by_seed: dict[int, dict[str, tuple]] = {}
+    for run in runs:
+        entry, cfg, _ = run
+        arms = by_seed.setdefault(cfg.seed, {})
+        if entry["prior_mode"] in arms:
+            raise CliError(f"{entry['run_dir']}: a second {entry['prior_mode']} run of seed {cfg.seed}, "
+                           f"after {arms[entry['prior_mode']][0]['run_dir']}")
+        arms[entry["prior_mode"]] = run
+    seeds, diffs = [], {}
+    for seed, arms in sorted(by_seed.items()):
+        if len(arms) < 2:
+            continue
+        (prior, prior_cfg, prior_m), (rand, rand_cfg, rand_m) = arms["prior"], arms["random"]
+        other = dict(_flat(config_to_dict(rand_cfg)))
+        for key, value in _flat(config_to_dict(prior_cfg)):
+            if key != "decoder.n_prior" and not key.startswith("io.") and other[key] != value:
+                raise CliError(f"{prior['run_dir']} and {rand['run_dir']}: seed {seed}'s runs differ in {key} "
+                               f"({value!r} and {other[key]!r})")
+        seeds.append(seed)
+        for name in prior_m.keys() & rand_m.keys():
+            diffs.setdefault(name, []).append(prior_m[name] - rand_m[name])
+    stats = {}
+    for name, values in sorted(diffs.items()):
+        d = np.array(values)
+        picks = substream(0, f"stability-report.bootstrap.{name}").integers(0, len(d), (PAIRED_RESAMPLES, len(d)))
+        lo, hi = np.percentile(d[picks].mean(axis=1), [2.5, 97.5])
+        stats[name] = {"n": len(d), "mean": float(d.mean()), "sd": float(d.std(ddof=1)) if len(d) > 1 else None,
+                       "prior_lower": int((d < 0).sum()), "ci95": [float(lo), float(hi)]}
+    return {"seeds": seeds, "resamples": PAIRED_RESAMPLES, "prior_minus_random": stats}
 
 
 def cmd_stability_report(runs: list[str], out_path: str) -> None:
-    entries = []
-    by_mode: dict[str, list[float]] = {}
-    for run_dir in runs:
-        path = _require_path(os.path.join(run_dir, "stability.json"), "run stability summary")
-        with open(path) as f:
-            try:
-                summary = json.load(f)
-                by_mode.setdefault(summary["prior_mode"], []).append(float(summary["final_epoch_u_t"]))
-            except (ValueError, KeyError, TypeError) as e:
-                raise CliError(f"{path}: malformed run summary ({type(e).__name__}: {e})") from e
-        summary["run_dir"] = run_dir
-        entries.append(summary)
-    doc = {"runs": entries}
-    doc["mean_final_epoch_u_t_by_mode"] = {k: float(np.mean(v)) for k, v in by_mode.items()}
-    if {"prior", "random"} <= set(by_mode):
-        doc["u_t_margin_random_minus_prior"] = (
-            doc["mean_final_epoch_u_t_by_mode"]["random"] - doc["mean_final_epoch_u_t_by_mode"]["prior"]
-        )
-    with open(out_path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"stability-report: {len(entries)} runs -> {out_path}")
+    read = [_read_run(run_dir) for run_dir in runs]
+    entries = [entry for entry, _, _ in read]
+    means = {mode: float(np.mean([e["final_epoch_u_t"] for e in entries if e["prior_mode"] == mode]))
+             for mode in {e["prior_mode"] for e in entries}}
+    doc = {"runs": entries, "paired": _paired(read), "mean_final_epoch_u_t_by_mode": means}
+    if {"prior", "random"} <= set(means):
+        doc["u_t_margin_random_minus_prior"] = means["random"] - means["prior"]
+    _write_json(out_path, doc)
+    print(f"stability-report: {len(runs)} runs -> {out_path}")
 
 
 def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
@@ -405,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="io.data_dir", help="evaluation dataset directory (io.data_dir)")
     p.add_argument("--checkpoint", dest="io.checkpoint_path", help="checkpoint path (io.checkpoint_path)")
 
-    p = sub.add_parser("stability-report", help="merge run summaries into one report")
+    p = sub.add_parser("stability-report", help="report matching stability of training runs, paired by seed")
     p.add_argument("--runs", nargs="+", required=True, help="training run directories")
     p.add_argument("--out-file", dest="out_file", required=True, help="report JSON path")
 

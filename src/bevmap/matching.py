@@ -207,6 +207,12 @@ def match_layer(
 # --------------------------------------------------------------------------
 
 
+def query_flips(a: dict[int, int], b: dict[int, int]) -> int:
+    """How many GTs two gt-to-query maps assign differently; a GT that one
+    map lacks counts as assigned differently."""
+    return sum(1 for g in set(a) | set(b) if a.get(g, -1) != b.get(g, -1))
+
+
 def unstable_scores(per_layer: list[Assignment]) -> StabilityReport:
     """u per layer transition and u_t between first and last layer.
 
@@ -224,11 +230,7 @@ def unstable_scores(per_layer: list[Assignment]) -> StabilityReport:
     maps = [a.gt_to_query() for a in per_layer]
 
     def changed(a: dict[int, int], b: dict[int, int]) -> float:
-        if num_gt == 0:
-            return 0.0
-        keys = set(a) | set(b)
-        flips = sum(1 for g in keys if a.get(g, -1) != b.get(g, -1))
-        return flips / num_gt
+        return query_flips(a, b) / num_gt if num_gt else 0.0
 
     u_per_layer = [changed(maps[i - 1], maps[i]) for i in range(1, num_layers)]
     u_t = changed(maps[0], maps[-1]) if num_layers > 1 else 0.0

@@ -22,7 +22,7 @@ from . import tensorad as ta
 from .decoder import DecoderConfig, NumericalError, check_bank, forward, init_model_params
 from .geometry import BevExtent, GeometryError, Scene
 from .losses import LossConfig, total_loss
-from .matching import Assignment, GtTarget, gt_targets, unstable_scores
+from .matching import Assignment, GtTarget, gt_targets, query_flips, unstable_scores
 from .priors import BankParseError, PriorBank, bank_from_dict, bank_to_dict
 from .rngutil import substream
 from .synth import FeaturePyramid, InstanceMask, rasterize_instances, render_bev
@@ -153,7 +153,11 @@ def train(
 ) -> TrainResult:
     """Gradient-descent loop with per-layer matching recomputed each step.
 
-    Logs one row per step: losses, u per layer transition, and u_t.
+    Logs one row per step: the visited scene's index, losses, u per layer
+    transition, u_t, `is` (the share of the scene's GTs whose last-layer
+    query differs from its previous visit; NaN on a first visit or without
+    GTs) and `prior_share` (the share of last-layer matches taken by query
+    rows below n_prior; NaN without matches).
     """
     if not dataset:
         raise ValueError("train: dataset is empty")
@@ -167,11 +171,13 @@ def train(
     noise_rng = substream(train_cfg.seed, "train.featnoise")
     order: list[int] = []
     log: list[dict] = []
+    last_visit: dict[int, dict[int, int]] = {}  # scene -> its last-layer gt_to_query
 
     for step in range(train_cfg.steps):
         if not order:
             order = list(order_rng.permutation(len(dataset)))
-        item = dataset[order.pop()]
+        idx = int(order.pop())
+        item = dataset[idx]
 
         with ta.Tape() as tape:
             try:
@@ -195,11 +201,16 @@ def train(
             params[name] = Tensor(params[name].values - update)
 
         stability = unstable_scores(assignments)
-        row = {"step": step}
+        row = {"step": step, "scene": idx}
         row.update(breakdown)
         for i, u in enumerate(stability.u_per_layer, start=1):
             row[f"u_layer{i}"] = u
         row["u_t"] = stability.u_t
+        last, previous = assignments[-1].gt_to_query(), last_visit.get(idx)
+        n_gt = len(item.gts)
+        row["is"] = query_flips(previous, last) / n_gt if previous is not None and n_gt else math.nan
+        row["prior_share"] = sum(q < decoder_cfg.n_prior for q in last.values()) / len(last) if last else math.nan
+        last_visit[idx] = last
         log.append(row)
 
     return TrainResult(params, log)
@@ -222,12 +233,6 @@ def setup_run(
     check_bank(bank, decoder_cfg)
     params = init_model_params(decoder_cfg, train_cfg.seed, init_sd=init_sd)
     return params, bank if decoder_cfg.n_prior > 0 else None, decoder_cfg
-
-
-def final_epoch_mean(log: list[dict], key: str, epoch_len: int) -> float:
-    """Mean of a logged column over the last epoch_len steps."""
-    rows = log[-epoch_len:]
-    return float(np.mean([row[key] for row in rows]))
 
 
 # --------------------------------------------------------------------------

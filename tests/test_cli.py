@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -69,6 +70,28 @@ def random_run(pipeline):
 
 
 @pytest.fixture(scope="module")
+def val_run(pipeline):
+    """The pipeline's prior run again, with its own scenes as the val set."""
+    root, data, bank, run_dir = pipeline
+    run_val = str(root / "run_val")
+    assert cli.main([
+        "train", "--data", data, "--val", data, "--priors", bank, "--out", run_val, "--seed", "7",
+        "--steps", "6", *TINY,
+    ]) == 0
+    return run_val
+
+
+@pytest.fixture(scope="module")
+def blown_ckpt(pipeline):
+    """A finite checkpoint whose forward goes non-finite: one SGD step at lr 1e308."""
+    root, data, bank, run_dir = pipeline
+    run = root / "run_blown"
+    assert cli.main(["train", "--data", data, "--priors", bank, "--out", str(run), "--seed", "7", "--steps", "1",
+                     *TINY, "--set", "train.optimizer=sgd", "--set", "train.lr=1e308"]) == 0
+    return str(run / "checkpoint.npz")
+
+
+@pytest.fixture(scope="module")
 def tall_data(tmp_path_factory):
     """One scene on a 24-row grid; the pipeline's checkpoint has 32 rows."""
     data = str(tmp_path_factory.mktemp("tall") / "data")
@@ -108,15 +131,14 @@ def test_gen_data_artifacts(pipeline):
 
 def test_train_artifacts(pipeline):
     root, data, bank, run_dir = pipeline
-    for name in ("checkpoint.npz", "train_log.csv", "stability.json", "train_config.json"):
-        assert os.path.exists(os.path.join(run_dir, name)), name
-    with open(os.path.join(run_dir, "stability.json")) as f:
-        summary = json.load(f)
-    assert summary["prior_mode"] == "prior"
-    assert len(summary["u_t_series"]) == 6
+    assert sorted(os.listdir(run_dir)) == ["checkpoint.npz", "train_config.json", "train_log.csv"]
+    with open(os.path.join(run_dir, "train_config.json")) as f:
+        assert json.load(f)["decoder"]["n_prior"] == 4
     with open(os.path.join(run_dir, "train_log.csv")) as f:
-        header = f.readline().strip().split(",")
-    assert header == ["step", "loss_total", "loss_cls", "loss_pts", "loss_disc", "u_layer1", "u_t"]
+        lines = f.read().splitlines()
+    assert len(lines) == 1 + 6
+    assert lines[0].split(",") == ["step", "scene", "loss_total", "loss_cls", "loss_pts", "loss_disc", "u_layer1",
+                                   "u_t", "is", "prior_share"]
 
 
 def test_eval_and_reports(pipeline, tmp_path):
@@ -137,8 +159,8 @@ def test_random_run_needs_no_bank(random_run):
     ckpt = load_checkpoint(os.path.join(random_run, "checkpoint.npz"))
     assert ckpt.bank is None and ckpt.decoder_cfg.n_prior == 0
     assert ckpt["ref_logits"].shape[0] == ckpt.decoder_cfg.n_instances
-    with open(os.path.join(random_run, "stability.json")) as f:
-        assert json.load(f)["prior_mode"] == "random"
+    with open(os.path.join(random_run, "train_config.json")) as f:
+        assert json.load(f)["decoder"]["n_prior"] == 0
 
 
 def test_eval_of_a_random_run_from_its_snapshot(random_run, tmp_path):
@@ -161,6 +183,101 @@ def test_random_mode_and_stability_report(pipeline, random_run, tmp_path):
     assert {"prior", "random"} == set(doc["mean_final_epoch_u_t_by_mode"])
     assert "u_t_margin_random_minus_prior" in doc
     assert len(doc["runs"]) == 2
+    assert [run["prior_mode"] for run in doc["runs"]] == ["prior", "random"]
+
+
+def _log_column(run_dir, key) -> list[float]:
+    with open(os.path.join(run_dir, "train_log.csv"), newline="") as f:
+        return [float(row[key]) for row in csv.DictReader(f)]
+
+
+def test_stability_report_is_recomputed_from_the_log(pipeline, tmp_path):
+    root, data, bank, run_dir = pipeline
+    short = str(tmp_path / "short")  # fewer steps than the 4 scenes
+    assert cli.main(["train", "--data", data, "--priors", bank, "--out", short, "--seed", "2", "--steps", "2",
+                     *TINY]) == 0
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", run_dir, short, "--out-file", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    for entry, steps, epoch in zip(doc["runs"], (6, 2), (4, 2)):
+        u_t, loss = _log_column(entry["run_dir"], "u_t"), _log_column(entry["run_dir"], "loss_total")
+        assert entry == {
+            "run_dir": entry["run_dir"], "prior_mode": "prior", "steps": steps, "final_epoch_len": epoch,
+            "final_epoch_u_t": float(np.mean(u_t[-epoch:])), "final_epoch_loss": float(np.mean(loss[-epoch:])),
+            "u_t_series": u_t,
+        }
+    assert [entry["run_dir"] for entry in doc["runs"]] == [run_dir, short]
+    assert doc["mean_final_epoch_u_t_by_mode"] == {"prior": np.mean([doc["runs"][0]["final_epoch_u_t"],
+                                                                     doc["runs"][1]["final_epoch_u_t"]])}
+    assert "u_t_margin_random_minus_prior" not in doc
+    assert doc["paired"] == {"seeds": [], "resamples": cli.PAIRED_RESAMPLES, "prior_minus_random": {}}
+
+
+def test_stability_report_pairs_runs_by_seed(pipeline, random_run, val_run, tmp_path):
+    root, data, bank, run_dir = pipeline
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", val_run, random_run, "--out-file", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    paired = doc["paired"]
+    assert paired["seeds"] == [7] and paired["resamples"] == 10_000
+    # the random run has no val report, so mAP has no pair
+    assert sorted(paired["prior_minus_random"]) == ["final_epoch_u_t", "run_is", "run_loss_total", "run_u_t"]
+
+    def whole_run(run, key):
+        values = [v for v in _log_column(run, key) if not np.isnan(v)]
+        return float(np.mean(values))
+
+    final = doc["runs"][0]["final_epoch_u_t"] - doc["runs"][1]["final_epoch_u_t"]
+    for name, diff in [("final_epoch_u_t", final),
+                       ("run_u_t", whole_run(val_run, "u_t") - whole_run(random_run, "u_t")),
+                       ("run_loss_total", whole_run(val_run, "loss_total") - whole_run(random_run, "loss_total")),
+                       ("run_is", whole_run(val_run, "is") - whole_run(random_run, "is"))]:
+        assert paired["prior_minus_random"][name] == {"n": 1, "mean": diff, "sd": None, "prior_lower": int(diff < 0),
+                                                      "ci95": [diff, diff]}, name
+
+
+def test_stability_report_refuses_a_second_run_of_a_seed_and_arm(pipeline, val_run, tmp_path, capsys):
+    root, data, bank, run_dir = pipeline
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", run_dir, val_run, "--out-file", str(report)]) == 2
+    assert f"error (CliError): {val_run}: a second prior run of seed 7, after {run_dir}\n" == _one_line_error(capsys)
+    assert not report.exists()
+
+
+def test_stability_report_refuses_a_pair_that_differs_in_more_than_the_arm(pipeline, tmp_path, capsys):
+    root, data, bank, run_dir = pipeline
+    other = str(tmp_path / "random_lr")
+    assert cli.main(["train", "--data", data, "--out", other, "--seed", "7", "--steps", "6", *TINY,
+                     "--set", "decoder.n_prior=0", "--set", "train.lr=0.2"]) == 0
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", run_dir, other, "--out-file", str(report)]) == 2
+    assert _one_line_error(capsys) == (f"error (CliError): {run_dir} and {other}: seed 7's runs differ in train.lr "
+                                       "(0.1 and 0.2)\n")
+    assert not report.exists()
+
+
+def test_train_val_report_is_evals(pipeline, val_run, tmp_path):
+    data = pipeline[1]
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--data", data, "--checkpoint", os.path.join(val_run, "checkpoint.npz"),
+                     "--out", str(out), "--seed", "7"]) == 0
+    for ext in ("json", "csv"):
+        assert (out / f"eval_report.{ext}").read_bytes() == pathlib.Path(val_run, f"val_report.{ext}").read_bytes()
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", val_run, "--out-file", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["runs"][0]["val_mean_ap"] == json.loads((out / "eval_report.json").read_text())["mean_ap"]
+
+
+def test_stability_report_ignores_a_val_report_the_snapshot_does_not_name(pipeline, val_run, tmp_path):
+    # a stale report, say from an earlier --val run into the same --out
+    root, data, bank, run_dir = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    shutil.copy(os.path.join(val_run, "val_report.json"), run / "val_report.json")
+    report = tmp_path / "report.json"
+    assert cli.main(["stability-report", "--runs", str(run), "--out-file", str(report)]) == 0
+    assert "val_mean_ap" not in json.loads(report.read_text())["runs"][0]
 
 
 def test_bench_attn_csv(tmp_path):
@@ -390,13 +507,18 @@ def _one_line_error(capsys) -> str:
     ("eval", ["--checkpoint", "{pos_grid}"],
      "error (CliError): {pos_grid}: parameter adapter.pos has shape (16, 24, 16), the decoder in _meta needs "
      "(16, 32, 16)"),
+    ("eval", ["--checkpoint", "{blown}"],
+     "error (CliError): evaluation: non-finite values after stage 'instance self-attention'"),
+    ("train", ["--val", "{data}", "--steps", "1", "--set", "train.optimizer=sgd", "--set", "train.lr=1e308"],
+     "error (CliError): evaluation: non-finite values after stage 'instance self-attention'"),
 ])
-def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_data, tmp_path, capsys,
+def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_data, blown_ckpt, tmp_path, capsys,
                                          command, args, expected):
     root, data, bank, run_dir = pipeline
     ckpt = os.path.join(run_dir, "checkpoint.npz")
     paths = {
         "bank": bank,
+        "blown": blown_ckpt,
         "ckpt": ckpt,
         "data": data,
         "tall": tall_data,
@@ -468,6 +590,22 @@ def test_diverging_train_is_one_line_cli_error(pipeline, tmp_path):
     assert result.stderr == ("error (CliError): training diverged: non-finite values after stage "
                              "'instance self-attention' at step 1\n")
     assert not (tmp_path / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_non_finite_evaluation_is_one_line_cli_error(pipeline, blown_ckpt, tmp_path, command):
+    # in a subprocess, so that numpy's warnings reach stderr as they do for a user
+    root, data, bank, run_dir = pipeline
+    args = {
+        "eval": ["eval", "--data", data, "--checkpoint", blown_ckpt],
+        "train": ["train", "--data", data, "--val", data, "--priors", bank, "--steps", "1", "--seed", "7",
+                  "--set", "train.optimizer=sgd", "--set", "train.lr=1e308", *TINY],
+    }[command]
+    result = subprocess.run([sys.executable, "-m", "bevmap.cli", *args, "--out", str(tmp_path)], env=_src_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == "error (CliError): evaluation: non-finite values after stage 'instance self-attention'\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,damage,expected", [
@@ -552,16 +690,37 @@ def test_train_on_respelled_scenes_takes_their_bank_without_a_warning(spelled_da
     assert [str(w.message) for w in caught if "prior bank was fitted" in str(w.message)] == []
 
 
-@pytest.mark.parametrize("content,expected", [
-    ("{}", "malformed run summary (KeyError: 'prior_mode')"),
-    ("not json", "malformed run summary (JSONDecodeError: "),
+@pytest.mark.parametrize("record,damage,expected", [
+    ("train_config.json", None, "error (CliError): run config snapshot not found at expected path: {path}"),
+    ("train_config.json", "not json", "error (ConfigError): {path}: line 1: Expecting value"),
+    ("train_config.json", '{"train": {"stepz": 6}}',
+     "error (CliError): {path}: malformed run snapshot (unknown key 'train.stepz')"),
+    ("train_log.csv", None, "error (CliError): training log not found at expected path: {path}"),
+    ("train_log.csv", "no scene", "error (CliError): {path}: malformed training log (KeyError: 'scene')"),
+    ("train_log.csv", "step,scene,u_t,is\n0,0,0.5,nan\n",
+     "error (CliError): {path}: malformed training log (KeyError: 'loss_total')"),
+    ("train_log.csv", "step,scene,u_t,loss_total,is\n0,0,abc,1.0,nan\n",
+     "error (CliError): {path}: malformed training log (ValueError: could not convert string to float: 'abc')"),
+    ("train_log.csv", "step,scene,u_t,loss_total,is\n0,0,0.5,1.0,nan\n",
+     "error (CliError): {run}: train_log.csv has 1 steps, train_config.json 6"),
+    ("train_log.csv", "", "error (CliError): {run}: train_log.csv has 0 steps, train_config.json 6"),
+    ("val_report.json", None, "error (CliError): val report not found at expected path: {path}"),
+    ("val_report.json", "{}", "error (CliError): {path}: malformed val report (KeyError: 'mean_ap')"),
 ])
-def test_stability_report_on_a_malformed_summary_is_one_line(tmp_path, capsys, content, expected):
-    summary = tmp_path / "stability.json"
-    summary.write_text(content)
+def test_stability_report_on_a_malformed_record_is_one_line(val_run, tmp_path, capsys, record, damage, expected):
+    run = tmp_path / "run"
+    shutil.copytree(val_run, run)
+    path = run / record
+    if damage is None:
+        path.unlink()
+    elif damage == "no scene":  # a log written before the column existed
+        cells = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(row[:1] + row[2:]) + "\n" for row in cells))
+    else:
+        path.write_text(damage)
     report = tmp_path / "report.json"
-    assert cli.main(["stability-report", "--runs", str(tmp_path), "--out-file", str(report)]) == 2
-    assert f"error (CliError): {summary}: {expected}" in _one_line_error(capsys)
+    assert cli.main(["stability-report", "--runs", str(run), "--out-file", str(report)]) == 2
+    assert expected.format(path=path, run=run) in _one_line_error(capsys)
     assert not report.exists()
 
 

@@ -9,13 +9,13 @@ from bevmap import synth, training
 from bevmap import tensorad as ta
 from bevmap.decoder import DecoderConfig
 from bevmap.geometry import BevExtent
+from bevmap.matching import Assignment
 from bevmap.priors import abstract, fit_clusters
 from bevmap.tensorad import ContractViolation
 from bevmap.training import (
     CheckpointError,
     TrainConfig,
     build_dataset,
-    final_epoch_mean,
     load_checkpoint,
     save_checkpoint,
     setup_run,
@@ -152,15 +152,40 @@ def test_log_columns(world):
     tcfg = TrainConfig(steps=3, lr=0.1, seed=2)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     result = train(params, eff_bank, dataset, eff_cfg, tcfg)
-    expected = {"step", "loss_total", "loss_cls", "loss_pts", "loss_disc", "u_layer1", "u_t"}
+    expected = {"step", "scene", "loss_total", "loss_cls", "loss_pts", "loss_disc", "u_layer1", "u_t", "is",
+                "prior_share"}
     assert set(result.log[0]) == expected
     assert [row["step"] for row in result.log] == [0, 1, 2]
     assert all(0.0 <= row["u_t"] <= 1.0 for row in result.log)
+    # the first epoch visits each of the 3 scenes once, so no step has an earlier visit
+    assert sorted(row["scene"] for row in result.log) == [0, 1, 2]
+    assert all(np.isnan(row["is"]) and 0.0 <= row["prior_share"] <= 1.0 for row in result.log)
 
 
-def test_final_epoch_mean(world):
-    log = [{"u_t": float(i)} for i in range(10)]
-    assert final_epoch_mean(log, "u_t", 4) == pytest.approx(7.5)
+@pytest.mark.parametrize("n_gts,last_layer,expected_is,expected_share", [
+    # one scene visited three times; n_prior is 4, so queries 0-3 are prior rows
+    (2, [{0: 5, 1: 6}, {0: 5, 1: 2}, {0: 5, 1: 2}], [None, 0.5, 0.0], [0.0, 0.5, 0.5]),
+    (2, [{0: 1, 1: 2}, {0: 2, 1: 1}, {0: 6, 1: 7}], [None, 1.0, 1.0], [1.0, 1.0, 0.0]),
+    (0, [{}, {}, {}], [None, None, None], [None, None, None]),
+])
+def test_is_and_prior_share_on_a_hand_made_visit_sequence(world, monkeypatch, n_gts, last_layer, expected_is,
+                                                          expected_share):
+    scenes, dcfg, dataset, bank = world
+    item = dataclasses.replace(dataset[0], gts=dataset[0].gts[:n_gts])
+    visits = iter(last_layer)
+    total_loss = training.total_loss
+
+    def fixed_matches(*args, **kwargs):
+        loss, breakdown, assignments = total_loss(*args, **kwargs)
+        pairs = [(g, q, 0) for g, q in next(visits).items()]
+        return loss, breakdown, [Assignment(pairs, 0.0) for _ in assignments]
+
+    monkeypatch.setattr(training, "total_loss", fixed_matches)
+    tcfg = TrainConfig(steps=3, lr=0.1, seed=5)
+    params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
+    log = train(params, eff_bank, [item], eff_cfg, tcfg).log
+    nan_as_none = [[None if np.isnan(row[k]) else row[k] for row in log] for k in ("is", "prior_share")]
+    assert nan_as_none == [expected_is, expected_share]
 
 
 def test_checkpoint_round_trip(tmp_path, world):
