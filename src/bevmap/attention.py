@@ -222,14 +222,11 @@ def params_from_named(
 
 
 def _msda_stage(
-    tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaStageParams, table: np.ndarray | None = None
-) -> tuple[Tensor, Tensor]:
-    """Core deformable attention for one stage.
-
-    tokens (T, C), ref (T, 2) normalized; `table` is `ta.level_table` of a
-    pyramid that `levels` begin (built by the sampler when None).  Returns
-    the output (T, C) and the softmax weights (T, Nh, M*N).
-    """
+    tokens: Tensor, levels: list[Tensor], ref: Tensor, stage: MsdaStageParams, table: np.ndarray
+) -> Tensor:
+    """Core deformable attention for one stage: tokens (T, C), ref (T, 2)
+    normalized, `table` the `ta.level_table` of a pyramid that `levels`
+    begin.  Returns the output (T, C)."""
     t_n = tokens.shape[0]
     nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
     if len(levels) != m:
@@ -257,38 +254,24 @@ def _msda_stage(
         pts.append(ta.add(ref_e, ta.multiply(off_l, cell)))
     # each head's samples, projected and summed with their weights: (Nh, T, C/Nh)
     agg = ta.sample_levels(levels, pts, weights, stage.val_w, table)
-    out = ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0)  # (T, C)
-    return out, atn
-
-
-def _dmd(
-    tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Scale then sample: the output and the weights of both stages.
-
-    Both stages read one channel-last table (`ta.level_table` of `levels`,
-    built here when None); the multi-sample stage uses level 0's rows, which
-    lead it.
-    """
-    table = ta.level_table(levels) if table is None else table
-    out_ms, w_ms = _msda_stage(tokens, levels, ref, params.stage_ms, table)
-    q1 = ta.linear(out_ms, params.lin1_w, params.lin1_b)
-    out_sp, w_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp, table)
-    return ta.add(q1, ta.linear(out_sp, params.lin2_w, params.lin2_b)), w_ms, w_sp
+    return ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0)  # (T, C)
 
 
 def msda(
     tokens: Tensor, levels: list[Tensor], ref: Tensor, params: MsdaParams, table: np.ndarray | None = None
 ) -> SampledValue:
     """Cross-attention of `params.variant` into the pyramid `levels`.  `table`
-    is `ta.level_table(levels)`; a caller that attends into one pyramid many
-    times builds it once."""
+    is `ta.level_table(levels)`, built here once per call when None; a caller
+    that attends into one pyramid many times builds it once.  Scale then
+    sample runs both stages on that table; the multi-sample stage reads
+    level 0's rows, which lead it."""
+    table = ta.level_table(levels) if table is None else table
     reads = count_samples(params.variant, params.num_levels, params.num_points)
     if params.variant == VARIANT_VANILLA:
-        out, _ = _msda_stage(tokens, levels, ref, params.stage, table)
-    else:
-        out, _, _ = _dmd(tokens, levels, ref, params, table)
-    return SampledValue(out, reads)
+        return SampledValue(_msda_stage(tokens, levels, ref, params.stage, table), reads)
+    q1 = ta.linear(_msda_stage(tokens, levels, ref, params.stage_ms, table), params.lin1_w, params.lin1_b)
+    out_sp = _msda_stage(q1, levels[:1], ref, params.stage_sp, table)
+    return SampledValue(ta.add(q1, ta.linear(out_sp, params.lin2_w, params.lin2_b)), reads)
 
 
 def count_samples(variant: str, num_levels: int, num_points: int) -> int:

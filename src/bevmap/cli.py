@@ -35,7 +35,6 @@ from .config import (
     model_keys,
     override_doc,
     read_overrides,
-    save_config,
 )
 from .decoder import NumericalError, forward
 from .evaluate import evaluate, predictions_from_output, report_to_csv_rows, report_to_dict
@@ -140,7 +139,7 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _snapshot(cfg: RunConfig, command: str) -> None:
     os.makedirs(cfg.io.out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(cfg.io.out_dir, f"{command}_config.json"), command=command)
+    _write_json(os.path.join(cfg.io.out_dir, f"{command}_config.json"), {**config_to_dict(cfg), "command": command})
 
 
 def _feature_dataset(scenes: list[Scene], cfg: RunConfig):
@@ -160,12 +159,6 @@ def cmd_gen_data(cfg: RunConfig) -> None:
     for i, scene_seed in enumerate(seeds):
         scene = generate_scene(cfg.scenes, int(scene_seed))
         save_scene(scene, os.path.join(scenes_dir, f"scene_{i:05d}.json"))
-    manifest = {
-        "count": cfg.scenes.count,
-        "seed_base": cfg.seed,
-        "config": config_to_dict(cfg)["scenes"],
-    }
-    _write_json(os.path.join(cfg.io.out_dir, "manifest.json"), manifest)
     print(f"gen-data: wrote {cfg.scenes.count} scenes to {scenes_dir}")
 
 

@@ -100,7 +100,6 @@ class PriorsSection:
 class TrainSection:
     steps: int = 2000
     lr: float = 0.1
-    optimizer: str = "adagrad"
     feature_noise_sd: float = 0.0
 
 
@@ -214,15 +213,6 @@ def read_overrides(path: str) -> list[str]:
         raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
     doc.pop("command", None)  # snapshots carry the command they came from
     return [f"{key}={json.dumps(value)}" for key, value in doc.items()]
-
-
-def save_config(cfg: RunConfig, path: str, command: str | None = None) -> None:
-    doc = config_to_dict(cfg)
-    if command is not None:
-        doc["command"] = command
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _set(node: dict, key: str, value, path: str) -> None:

@@ -57,8 +57,6 @@ class Assignment:
 class StabilityReport:
     u_per_layer: list[float]  # layer l vs l-1, for l = 1..L-1
     u_t: float  # last layer vs first layer
-    num_layers: int
-    num_gt: int
 
 
 @dataclass
@@ -234,4 +232,4 @@ def unstable_scores(per_layer: list[Assignment]) -> StabilityReport:
 
     u_per_layer = [changed(maps[i - 1], maps[i]) for i in range(1, num_layers)]
     u_t = changed(maps[0], maps[-1]) if num_layers > 1 else 0.0
-    return StabilityReport(u_per_layer, u_t, num_layers, num_gt)
+    return StabilityReport(u_per_layer, u_t)

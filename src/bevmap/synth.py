@@ -76,6 +76,15 @@ class SceneConfig:
         lo, hi = self.divider_span
         if not (0.1 <= lo <= hi <= 1.0):
             raise GenerationError(f"divider_span range {self.divider_span} invalid")
+        # every scene the config can draw must fit its extent
+        ext, band = self.extent, 2 * (self.boundary_margin + 1.0)
+        if self.divider_count[1] > 0 and self.divider_lanes == 0 and ext.y_span < band:
+            raise GenerationError(f"dividers need a y span of at least 2 * (boundary_margin + 1) = {band:.1f} m, "
+                                  f"extent has {ext.y_span:.1f} m")
+        diagonal = math.hypot(self.crossing_size[1], self.crossing_size[1])
+        if self.crossing_count[1] > 0 and diagonal >= min(ext.x_span, ext.y_span):
+            raise GenerationError(f"crossing_size up to {self.crossing_size[1]} m gives crossings {diagonal:.1f} m "
+                                  f"across, which do not fit extent {ext.x_span:.1f}x{ext.y_span:.1f} m")
 
 
 @dataclass
@@ -143,11 +152,6 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
         sx = rng.uniform(*cfg.crossing_size)
         sy = rng.uniform(*cfg.crossing_size)
         half_diag = 0.5 * float(np.hypot(sx, sy))
-        if 2 * half_diag >= min(ext.x_span, ext.y_span):
-            raise GenerationError(
-                f"crossing of size {sx:.1f}x{sy:.1f} m does not fit extent "
-                f"{ext.x_span:.1f}x{ext.y_span:.1f} m"
-            )
         if cfg.crossing_slots > 0:
             slots = np.linspace(ext.x_min + half_diag, ext.x_max - half_diag, cfg.crossing_slots)
             cx = float(slots[rng.integers(cfg.crossing_slots)]) + rng.normal(0.0, cfg.slot_jitter)

@@ -1,4 +1,4 @@
-"""Toy training loop: per-layer matching, combined losses, adaptive updates,
+"""Toy training loop: per-layer matching, combined losses, Adagrad updates,
 and per-step matching-stability logging.
 
 A small trainable linear adapter sits between the synthetic BEV pyramid and
@@ -41,8 +41,7 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     steps: int = 2000
-    lr: float = 0.1
-    optimizer: str = "adagrad"  # momentum-free adaptive, or "sgd"
+    lr: float = 0.1  # Adagrad's step size
     seed: int = 0
     # fresh feature noise per visit, the stand-in for sensor/augmentation
     # variability; without it a small dataset is memorized and matching
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if not (type(self.lr) in (int, float) and math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if self.optimizer not in ("adagrad", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         sd = self.feature_noise_sd
         if not (type(sd) in (int, float) and math.isfinite(sd) and sd >= 0):
             raise ValueError(f"feature_noise_sd must be a finite number >= 0, got {sd!r}")
@@ -132,11 +129,11 @@ def _training_step_loss(
     item: TrainScene,
     cfg: DecoderConfig,
     loss_cfg: LossConfig,
-    noise_rng: np.random.Generator | None = None,
-    noise_sd: float = 0.0,
+    noise_rng: np.random.Generator,
+    noise_sd: float,
 ) -> tuple[Tensor, dict, list[Assignment]]:
     raw = item.pyramid.levels
-    if noise_rng is not None and noise_sd > 0:
+    if noise_sd > 0:
         raw = [lvl + noise_rng.normal(0.0, noise_sd, lvl.shape) for lvl in raw]
     levels = project_pyramid(raw, params)
     outputs = forward(params, bank, levels, cfg)
@@ -151,7 +148,7 @@ def train(
     train_cfg: TrainConfig,
     loss_cfg: LossConfig | None = None,
 ) -> TrainResult:
-    """Gradient-descent loop with per-layer matching recomputed each step.
+    """Adagrad loop with per-layer matching recomputed each step.
 
     Logs one row per step: the visited scene's index, losses, u per layer
     transition, u_t, `is` (the share of the scene's GTs whose last-layer
@@ -182,8 +179,7 @@ def train(
         with ta.Tape() as tape:
             try:
                 loss, breakdown, assignments = _training_step_loss(
-                    params, bank, item, decoder_cfg, loss_cfg,
-                    noise_rng=noise_rng, noise_sd=train_cfg.feature_noise_sd,
+                    params, bank, item, decoder_cfg, loss_cfg, noise_rng, train_cfg.feature_noise_sd
                 )
             except NumericalError as e:
                 raise TrainingDiverged(step, str(e)) from e
@@ -193,12 +189,8 @@ def train(
 
         for name in names:
             g = grads.of(params[name])
-            if train_cfg.optimizer == "adagrad":
-                accum[name] = accum[name] + g * g
-                update = train_cfg.lr * g / (np.sqrt(accum[name]) + ADAGRAD_EPS)
-            else:
-                update = train_cfg.lr * g
-            params[name] = Tensor(params[name].values - update)
+            accum[name] = accum[name] + g * g
+            params[name] = Tensor(params[name].values - train_cfg.lr * g / (np.sqrt(accum[name]) + ADAGRAD_EPS))
 
         stability = unstable_scores(assignments)
         row = {"step": step, "scene": idx}
@@ -316,9 +308,8 @@ def _check_fit(ckpt: Checkpoint, path: str) -> None:
         check_bank(ckpt.bank, cfg)
     except ContractViolation as e:
         raise CheckpointError(f"{path}: {e}") from e
-    want = {name: t.shape for name, t in init_model_params(cfg, 0).items()}
-    want.update({"adapter.w": (cfg.channels, cfg.channels), "adapter.b": (cfg.channels,),
-                 "adapter.pos": (cfg.channels, ckpt.extent.h, ckpt.extent.w)})
+    params = {**init_model_params(cfg, 0), **init_adapter(cfg.channels, (ckpt.extent.h, ckpt.extent.w), 0)}
+    want = {name: t.shape for name, t in params.items()}
     for name in sorted(want.keys() | ckpt.keys()):
         if name not in ckpt:
             raise CheckpointError(f"{path}: no parameter {name}, which the decoder in _meta needs")

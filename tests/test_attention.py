@@ -101,20 +101,44 @@ def test_identity_configuration_reduces_to_bilinear():
     assert out.sample_count == 1
 
 
-def test_attention_weights_normalized_all_variants():
+def test_attention_weights_normalized_all_variants(monkeypatch):
     q, r, lv = _random_setup(seed=4)
+    sample_levels, groups = ta.sample_levels, []
+
+    def recording(levels, pts, weights, val_w, table=None):  # each stage's weights, (T, Nh, M, N)
+        groups.append(weights.values)
+        return sample_levels(levels, pts, weights, val_w, table)
+
+    monkeypatch.setattr(ta, "sample_levels", recording)
     for variant in ALL_VARIANTS:
         for trial in range(5):
             qv = np.random.default_rng(100 + trial).normal(size=q.shape)
             params = init_msda_params(variant, 2, 2, 2, 16, seed=trial)
-            levels = [Tensor(x) for x in lv]
-            if variant == VARIANT_VANILLA:
-                groups = [att._msda_stage(Tensor(qv), levels, Tensor(r), params.stage)[1]]
-            else:
-                groups = att._dmd(Tensor(qv), levels, Tensor(r), params)[1:]
-            for g in (w.values for w in groups):
+            groups.clear()
+            msda(Tensor(qv), [Tensor(x) for x in lv], Tensor(r), params)
+            assert len(groups) == len(att._stages(variant, 2, 2))
+            for g in groups:
                 assert (g >= 0).all()
-                assert np.abs(g.sum(axis=-1) - 1.0).max() <= 1e-6
+                assert np.abs(g.sum(axis=(-2, -1)) - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_msda_without_a_table_builds_it_once(monkeypatch, variant):
+    q, r, lv = _random_setup(seed=42, levels=3)
+    params = init_msda_params(variant, 2, 3, 2, 16, seed=43)
+    levels = [Tensor(x) for x in lv]
+    table = ta.level_table(levels)
+    stack, built = ta._stack_channel_last, []
+
+    def counting(arrays):
+        built.append(len(arrays))
+        return stack(arrays)
+
+    monkeypatch.setattr(ta, "_stack_channel_last", counting)
+    msda(Tensor(q), levels, Tensor(r), params)
+    assert built == [3]
+    msda(Tensor(q), levels, Tensor(r), params, table)
+    assert built == [3]
 
 
 def test_vanilla_gradcheck():
@@ -158,11 +182,11 @@ def test_permutation_equivariance_over_queries():
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
-def _per_level_stage(tokens, levels, ref, stage, table=None):
+def _per_level_stage(tokens, levels, ref, stage, table):
     """`_msda_stage` as it sampled before the fused sampler: one
     `bilinear_sample` per level, then concat, a head-major transpose and a
     reshape into the (Nh, T*M*N, C) rows the value projection reads.  It
-    ignores `table`, which `_dmd` passes."""
+    ignores `table`, which `msda` passes."""
     t_n = tokens.shape[0]
     nh, m, n, c = stage.num_heads, stage.num_levels, stage.num_points, stage.channels
     off = ta.reshape(ta.linear(tokens, stage.off_w, stage.off_b), (t_n, nh, m, n, 2))
@@ -185,7 +209,7 @@ def _per_level_stage(tokens, levels, ref, stage, table=None):
     v = ta.reshape(ta.matmul(s_h, stage.val_w), (nh, t_n, m * n, c // nh))
     w_h = ta.reshape(ta.transpose(weights, (1, 0, 2, 3)), (nh, t_n, 1, m * n))
     agg = ta.reshape(ta.matmul(w_h, v), (nh, t_n, c // nh))
-    return ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0), atn
+    return ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0)
 
 
 def _msda_case(variant, heads, m, n, seed):
@@ -322,9 +346,10 @@ def test_dmd_two_stage_composition_oracle():
 
     from bevmap.attention import _msda_stage
 
-    stage1, _ = _msda_stage(Tensor(q), [Tensor(lv[0])], Tensor(r), params.stage_ms)
+    table = ta.level_table([Tensor(lv[0])])
+    stage1 = _msda_stage(Tensor(q), [Tensor(lv[0])], Tensor(r), params.stage_ms, table)
     q1 = ta.linear(stage1, params.lin1_w, params.lin1_b)
-    stage2, _ = _msda_stage(q1, [Tensor(lv[0])], Tensor(r), params.stage_sp)
+    stage2 = _msda_stage(q1, [Tensor(lv[0])], Tensor(r), params.stage_sp, table)
     expected = ta.add(q1, ta.linear(stage2, params.lin2_w, params.lin2_b)).values
     assert np.allclose(out, expected, atol=1e-12)
 

@@ -83,11 +83,11 @@ def val_run(pipeline):
 
 @pytest.fixture(scope="module")
 def blown_ckpt(pipeline):
-    """A finite checkpoint whose forward goes non-finite: one SGD step at lr 1e308."""
+    """A finite checkpoint whose forward goes non-finite: one Adagrad step at lr 1e300."""
     root, data, bank, run_dir = pipeline
     run = root / "run_blown"
     assert cli.main(["train", "--data", data, "--priors", bank, "--out", str(run), "--seed", "7", "--steps", "1",
-                     *TINY, "--set", "train.optimizer=sgd", "--set", "train.lr=1e308"]) == 0
+                     *TINY, "--set", "train.lr=1e300"]) == 0
     return str(run / "checkpoint.npz")
 
 
@@ -122,11 +122,11 @@ def test_gen_data_artifacts(pipeline):
     root, data, bank, run_dir = pipeline
     scenes = sorted(os.listdir(os.path.join(data, "scenes")))
     assert len(scenes) == 4
-    with open(os.path.join(data, "manifest.json")) as f:
-        manifest = json.load(f)
-    assert manifest["count"] == 4
-    assert manifest["seed_base"] == 7
-    assert os.path.exists(os.path.join(data, "gen-data_config.json"))
+    with open(os.path.join(data, "gen-data_config.json")) as f:
+        snapshot = json.load(f)
+    assert snapshot["scenes"]["count"] == 4
+    assert snapshot["seed"] == 7
+    assert sorted(os.listdir(data)) == ["gen-data_config.json", "scenes"]
 
 
 def test_train_artifacts(pipeline):
@@ -402,7 +402,7 @@ def _one_line_error(capsys) -> str:
 @pytest.mark.parametrize("command,args,expected", [
     ("train", ["--set", "decoder.n_prior=6"], "error (CliError): {bank}: prior bank holds 4 shapes, decoder needs 6"),
     ("train", ["--set", "decoder.n_heads=3"], "error (ConfigError): channels must be divisible by n_heads"),
-    ("train", ["--set", 'train.optimizer="adam"'], "error (ConfigError): unknown optimizer 'adam'"),
+    ("train", ["--set", 'train.optimizer="adagrad"'], "error (ConfigError): unknown key 'train.optimizer'"),
     ("train", ["--steps", "0"], "error (ConfigError): steps must be >= 1"),
     ("train", ["--set", "loss.delta_d=0.5"], "error (ConfigError): loss: delta_d (0.5) must exceed"),
     ("gen-data", ["--set", "scenes.divider_count=[4,2]"], "error (ConfigError): scenes: divider_count range"),
@@ -509,8 +509,15 @@ def _one_line_error(capsys) -> str:
      "(16, 32, 16)"),
     ("eval", ["--checkpoint", "{blown}"],
      "error (CliError): evaluation: non-finite values after stage 'instance self-attention'"),
-    ("train", ["--val", "{data}", "--steps", "1", "--set", "train.optimizer=sgd", "--set", "train.lr=1e308"],
+    ("train", ["--val", "{data}", "--steps", "1", "--set", "train.lr=1e300"],
      "error (CliError): evaluation: non-finite values after stage 'instance self-attention'"),
+    ("gen-data", ["--set", "scenes.divider_lanes=0", "--set", "scenes.extent.y_min=-2",
+                  "--set", "scenes.extent.y_max=2"],
+     "error (ConfigError): scenes: dividers need a y span of at least 2 * (boundary_margin + 1) = 5.0 m, extent has "
+     "4.0 m"),
+    ("gen-data", ["--set", "scenes.crossing_size=[20,25]"],
+     "error (ConfigError): scenes: crossing_size up to 25 m gives crossings 35.4 m across, which do not fit extent "
+     "60.0x30.0 m"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_data, blown_ckpt, tmp_path, capsys,
                                          command, args, expected):
@@ -583,7 +590,7 @@ def test_diverging_train_is_one_line_cli_error(pipeline, tmp_path):
     # in a subprocess, so that numpy's warnings reach stderr as they do for a user
     root, data, bank, run_dir = pipeline
     args = ["train", "--data", data, "--priors", bank, "--steps", "3", "--out", str(tmp_path),
-            "--set", "train.optimizer=sgd", "--set", "train.lr=1e300", *TINY]
+            "--set", "train.lr=1e300", *TINY]
     result = subprocess.run([sys.executable, "-m", "bevmap.cli", *args], env=_src_env(),
                             capture_output=True, text=True)
     assert result.returncode == 2
@@ -599,7 +606,7 @@ def test_non_finite_evaluation_is_one_line_cli_error(pipeline, blown_ckpt, tmp_p
     args = {
         "eval": ["eval", "--data", data, "--checkpoint", blown_ckpt],
         "train": ["train", "--data", data, "--val", data, "--priors", bank, "--steps", "1", "--seed", "7",
-                  "--set", "train.optimizer=sgd", "--set", "train.lr=1e308", *TINY],
+                  "--set", "train.lr=1e300", *TINY],
     }[command]
     result = subprocess.run([sys.executable, "-m", "bevmap.cli", *args, "--out", str(tmp_path)], env=_src_env(),
                             capture_output=True, text=True)

@@ -55,13 +55,13 @@ def test_generate_points_within_extent(cfg):
 
 
 def test_generate_infeasible_crossing():
-    cfg = SceneConfig(
-        extent=BevExtent(-3, 3, -3, 3, 10, 10),
-        crossing_size=(20.0, 25.0),
-        boundary_margin=0.5,
-    )
+    # refused with the config, before any scene is drawn
     with pytest.raises(GenerationError, match="crossing"):
-        generate_scene(cfg, 0)
+        SceneConfig(
+            extent=BevExtent(-3, 3, -3, 3, 10, 10),
+            crossing_size=(20.0, 25.0),
+            boundary_margin=0.5,
+        )
 
 
 def test_render_level_shapes():

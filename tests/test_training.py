@@ -55,7 +55,7 @@ def _diverge(world, lr):
     from bevmap.training import TrainingDiverged
 
     scenes, dcfg, dataset, bank = world
-    tcfg = TrainConfig(steps=200, lr=lr, optimizer="sgd", seed=1)
+    tcfg = TrainConfig(steps=200, lr=lr, seed=1)
     params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -65,8 +65,17 @@ def _diverge(world, lr):
     return exc.value
 
 
-def test_divergence_aborts_with_step_index(world):
-    err = _diverge(world, 500.0)  # the loss goes non-finite before any decoder stage
+def test_divergence_aborts_with_step_index(world, monkeypatch):
+    # the loss goes non-finite from step 1 on, after every decoder stage
+    total_loss, calls = training.total_loss, []
+
+    def nan_from_step_1(*args, **kwargs):
+        loss, breakdown, assignments = total_loss(*args, **kwargs)
+        calls.append(None)
+        return (ta.Tensor(loss.values * np.nan) if len(calls) > 1 else loss), breakdown, assignments
+
+    monkeypatch.setattr(training, "total_loss", nan_from_step_1)
+    err = _diverge(world, 0.1)
     assert str(err) == f"non-finite loss at step {err.step}"
 
 
