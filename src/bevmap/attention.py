@@ -312,33 +312,29 @@ def benchmark_attention(
 ) -> list[dict]:
     """Time each cross-attention variant forward-only (no tape recording).
 
-    Returns one row per variant: variant, M, N, queries, mean_ms, sd_ms,
-    sample_count.
+    Each repeat times every variant once, in the given order on even repeats
+    and in reverse on odd ones, so no variant always runs after another.
+    Returns one row per variant: variant, M, N, queries, its median and
+    quartiles (p50_ms, q1_ms, q3_ms), vanilla_over_dmd (vanilla's median over
+    DMD's; None unless both variants ran) and sample_count.
     """
     rng = substream(seed, "bench.inputs")
     levels = [Tensor(lvl) for lvl in random_pyramid(channels, num_levels, h, w, seed)]
     tokens = Tensor(rng.normal(0.0, 1.0, (queries, channels)))
     ref = Tensor(rng.uniform(0.05, 0.95, (queries, 2)))
-    rows = []
-    for variant in variants:
-        params = init_msda_params(variant, n_heads, num_levels, num_points, channels, seed)
+    params = {v: init_msda_params(v, n_heads, num_levels, num_points, channels, seed) for v in variants}
+    for p in params.values():
         for _ in range(warmup):
-            msda(tokens, levels, ref, params)
-        times = []
-        for _ in range(repeats):
+            msda(tokens, levels, ref, p)
+    times: dict[str, list[float]] = {v: [] for v in params}
+    for i in range(repeats):
+        for v in list(params)[:: 1 if i % 2 == 0 else -1]:
             t0 = time.perf_counter()
-            msda(tokens, levels, ref, params)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        arr = np.asarray(times)
-        rows.append(
-            {
-                "variant": variant,
-                "M": num_levels,
-                "N": num_points,
-                "queries": queries,
-                "mean_ms": float(arr.mean()),
-                "sd_ms": float(arr.std(ddof=1)) if repeats > 1 else 0.0,
-                "sample_count": count_samples(variant, num_levels, num_points),
-            }
-        )
-    return rows
+            msda(tokens, levels, ref, params[v])
+            times[v].append((time.perf_counter() - t0) * 1000.0)
+    quartiles = {v: np.percentile(ts, [25, 50, 75]) for v, ts in times.items()}
+    both = {VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE} <= quartiles.keys()
+    ratio = float(quartiles[VARIANT_VANILLA][1] / quartiles[VARIANT_SCALE_THEN_SAMPLE][1]) if both else None
+    return [{"variant": v, "M": num_levels, "N": num_points, "queries": queries, "p50_ms": float(q[1]),
+             "q1_ms": float(q[0]), "q3_ms": float(q[2]), "vanilla_over_dmd": ratio,
+             "sample_count": count_samples(v, num_levels, num_points)} for v, q in quartiles.items()]

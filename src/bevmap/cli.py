@@ -374,14 +374,18 @@ def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
     except ContractViolation as e:
         raise CliError(f"bench config: {e}") from e
     _snapshot(cfg, "bench-attn")
-    table = [["variant", "M", "N", "queries", "mean_ms", "sd_ms", "sample_count"]]
+    ratio = rows[0]["vanilla_over_dmd"]
+    table = [["variant", "M", "N", "queries", "p50_ms", "q1_ms", "q3_ms", "vanilla_over_dmd", "sample_count"]]
     for r in rows:
-        table.append([r["variant"], str(r["M"]), str(r["N"]), str(r["queries"]),
-                      repr(r["mean_ms"]), repr(r["sd_ms"]), str(r["sample_count"])])
+        table.append([r["variant"], str(r["M"]), str(r["N"]), str(r["queries"]), repr(r["p50_ms"]),
+                      repr(r["q1_ms"]), repr(r["q3_ms"]), "" if ratio is None else repr(ratio),
+                      str(r["sample_count"])])
     _write_csv(out_path, table)
     for r in rows:
-        print(f"bench-attn: {r['variant']}: {r['mean_ms']:.2f} ms "
-              f"(sd {r['sd_ms']:.2f}, {r['sample_count']} samples/query/head)")
+        print(f"bench-attn: {r['variant']}: median {r['p50_ms']:.2f} ms "
+              f"(quartiles {r['q1_ms']:.2f}-{r['q3_ms']:.2f}, {r['sample_count']} samples/query/head)")
+    if ratio is not None:
+        print(f"bench-attn: vanilla/DMD median ratio {ratio:.3f}")
 
 
 # --------------------------------------------------------------------------

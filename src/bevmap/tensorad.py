@@ -538,8 +538,10 @@ def repeat_axis(x: Tensor, axis: int, times: int) -> Tensor:
     return _op("repeat", np.repeat(x.values, times, axis=axis), (x,), backward)
 
 
-def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """Sum weights[r] * src[r % len(src)] into row rows[r] of an (n_rows, C) zero array.
+def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.ndarray | None = None,
+                  src_rows: np.ndarray | None = None) -> np.ndarray:
+    """Sum weights[r] * src[src_rows[r]] into row rows[r] of an (n_rows, C)
+    zero array; without `src_rows`, entry r reads src[r % len(src)].
 
     Each row sums in increasing r, the order of numpy's unbuffered `ufunc.at`
     scatter, so results match it bit for bit: a stable sort on `rows` lays
@@ -554,7 +556,8 @@ def _scatter_rows(rows: np.ndarray, src: np.ndarray, n_rows: int, weights: np.nd
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     data = np.ones(rows.size) if weights is None else weights[order]
-    spread = sp.csr_array((data, order % len(src), indptr), shape=(n_rows, len(src)))
+    cols = order % len(src) if src_rows is None else src_rows[order]
+    spread = sp.csr_array((data, cols, indptr), shape=(n_rows, len(src)))
     return spread @ src
 
 
@@ -632,47 +635,54 @@ def add_rows(x: Tensor, b: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Multi-level bilinear sampling, a per-head value projection and the
-# attention-weighted sum (align-corners-false, zero padding outside the grid)
+# Multi-level bilinear sampling, weighted and projected per head
+# (align-corners-false, zero padding outside the grid)
 #
-# The kernel is a sparse blend operator: one CSR matrix holding each
-# sample's four corner weights, applied to a single channel-last table that
-# stacks every level's (h*w, C) rows.  Its rows come out head-major, so a
-# head's samples are one block of rows that its (C, D) value projection reads
-# as is.  Each query's M*N projected samples of a head are then summed with
-# its attention weights, inside the sampler, as Deformable DETR's kernel
-# weights samples in its sampling pass (Zhu et al., arXiv 2010.04159).  Every
-# summation order is pinned on purpose and matches the dense gather / einsum /
-# `ufunc.at` scatter formulation, followed by numpy's batched projection and
-# weighting matmuls, bit for bit (tests/test_tensorad.py keeps the sampler's
-# reference): training is chaotic in rounding, so a reordered sum grows into
-# a different model within a few dozen steps.
+# The kernel is a sparse blend operator applied to a single channel-last
+# table that stacks every level's (h*w, C) rows.  One CSR row belongs to one
+# (head, query): it holds that query's 4*M*N corners for that head in (level,
+# point, corner) order, each with its sample's attention weight times its
+# bilinear corner weight.  So U = blend @ table is each query's weighted sum
+# of its samples, (T, C) per head, and U @ val_w[h] is the head's output.
+# Deformable DETR's kernel samples and weights in one pass the same way, with
+# no per-sample output (Zhu et al., arXiv 2010.04159).
 #
-# A call works in head blocks.  A block computes its own points' corners and
-# blend rows, then its samples S = blend @ table, their projection v = S @
-# val_w[h] and the weighted sum w_h @ v, and keeps none of them.  A forward
-# call of fewer than _PARALLEL_VALUES sampled values (Nh*T*M*N*C) is one
-# block of all heads on the calling thread: the C=32 training shapes make at
-# most ~1.0 M values, and there hand-offs cost more than they save.  A larger
-# call runs one head per task on a pool of one thread per usable CPU; numpy,
-# scipy's sparse product and BLAS release the GIL.  So no whole-call blend
-# matrix, corner array or per-sample array is built, and each thread holds
-# one head's samples.  A head's block is the same row products and the same
-# dgemm calls as the all-heads block, so the bytes do not depend on the path.
-# A head's rows are never split further: a block of rows of A @ B is not
-# byte-equal to that block's own product with B.
+# Two sums are pinned on purpose: a CSR row sums its entries in their stored
+# order, ((0 + a0 r0) + a1 r1) + ..., and the grid gradient scatters in
+# numpy's `ufunc.at` order (`_scatter_rows`).  The other sums do not follow
+# the dense gather / einsum / batched-matmul chain, so the outputs and every
+# gradient are compared at 1e-12 relative to the largest magnitude, with that
+# chain (tests/test_tensorad.py) and with the per-level kernel
+# (tests/test_attention.py).  `bilinear_sample`'s unit weights and identity
+# projection pass every sample and gradient through exactly, so it stays
+# byte-equal to the dense reference.
+#
+# A call works in head blocks.  A block computes its own points' corners,
+# their weighted blend rows, U and U @ val_w[h], and keeps only the output.
+# A forward call of fewer than _PARALLEL_VALUES sampled values (Nh*T*M*N*C)
+# is one block of all heads on the calling thread: the C=32 training shapes
+# make at most ~1.0 M values, and there hand-offs cost more than they save.
+# A larger call runs one head per task on a pool of one thread per usable
+# CPU; numpy, scipy's sparse product and BLAS release the GIL.  So no
+# whole-call blend matrix or corner array is built, and each thread holds one
+# head's (T, C) rows and (T, D) output.  A head's block is the same row
+# products and the same dgemm calls as the all-heads block, so the bytes do
+# not depend on the path.  A head's rows are never split further: a block of
+# rows of A @ B is not byte-equal to that block's own product with B.
 #
 # The tape node keeps the points (16 B per sample), the weights, the shared
 # table and val_w, and recomputes the rest in the backward (Chen et al., arXiv
-# 1604.06174: recompute instead of keep).  Its corner arrays (84 B per sample)
-# and its blend matrix (48 B) are rebuilt from the points by the forward's own
-# code, so the bytes are the forward's.  The calling thread recomputes the
-# corners and from them computes the level and point gradients; one pool task
-# rebuilds the blend matrix from those corners, recomputes the samples and
-# their projections (the widest arrays a call makes) and computes the
-# gradients of val_w and of the weights.  Every pool task goes through
-# `_on_pool`.  This module is the only one in the package that starts
-# threads.
+# 1604.06174: recompute instead of keep).  The backward maps the upstream
+# gradient back through the projection, g_u = g @ val_w[h]^T, one (T, C)
+# block per head.  The calling thread recomputes the corners with the
+# forward's code.  Per level it scatters each sample's g_u row, times its
+# weight and corner weight, into the grid gradient, and dots each corner's
+# table row with that g_u row once: the dots times the weight give the point
+# gradients, and the dots summed with the corner weights give the weight
+# gradients.  One pool task rebuilds the weighted blend from those corners,
+# recomputes U and returns val_w's gradient U^T @ g.  Every pool task goes
+# through `_on_pool`.  This module is the only one in the package that
+# starts threads.
 # --------------------------------------------------------------------------
 
 def _usable_cpus() -> int:
@@ -771,21 +781,22 @@ def _stack_channel_last(levels: Sequence[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_l: np.ndarray) -> np.ndarray:
-    """(4, K): the dot of table row lin[j, k] with g_l[k], for each corner j.
+def _corner_dots(level_rows: np.ndarray, lin: np.ndarray, g_rows: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """(4, K): the dot of table row lin[j, k] with g_rows[src[k]], for each corner j.
 
-    The rows are gathered _DOT_ROWS samples at a time into one reused buffer,
-    so they are read from cache and no (K, C) array is allocated per corner;
-    each dot is the same `einsum` over C as one call on all K rows.
+    Both rows are gathered _DOT_ROWS samples at a time into reused buffers,
+    so they are read from cache and no (K, C) array is allocated; each dot is
+    the same `einsum` over C as one call on all K rows.
     """
-    k, c = g_l.shape
+    k = lin.shape[1]
     dots = np.empty(lin.shape)
-    buf = np.empty((min(_DOT_ROWS, k), c))
+    rows, g_blk = np.empty((2, min(_DOT_ROWS, k), g_rows.shape[1]))
     for a in range(0, k, _DOT_ROWS):
         b = min(a + _DOT_ROWS, k)
+        np.take(g_rows, src[a:b], axis=0, out=g_blk[: b - a])
         for j, lin_f in enumerate(lin):
-            np.take(level_rows, lin_f[a:b], axis=0, out=buf[: b - a])
-            np.einsum("kc,kc->k", buf[: b - a], g_l[a:b], out=dots[j, a:b])
+            np.take(level_rows, lin_f[a:b], axis=0, out=rows[: b - a])
+            np.einsum("kc,kc->k", rows[: b - a], g_blk[: b - a], out=dots[j, a:b])
     return dots
 
 
@@ -809,12 +820,14 @@ def sample_levels(
     table: np.ndarray | None = None,
 ) -> Tensor:
     """Bilinearly sample M C x h_l x w_l levels, level l at the normalized
-    (row, col) points pts[l] of shape (T, Nh, N, 2), project head h's
-    samples by val_w[h] of shape (C, D), and sum each query's M*N projected
-    samples of head h with its weights[:, h] of shape (T, M, N).
+    (row, col) points pts[l] of shape (T, Nh, N, 2), sum each query's M*N
+    samples of head h with its weights[:, h] of shape (T, M, N), and project
+    that sum by val_w[h] of shape (C, D).
 
     Returns (Nh, T, D).  `table` is `level_table` of `levels` or of a list
-    they begin; it is built here when omitted.
+    they begin; it is built here when omitted.  The weights are folded into
+    the blend rows, so each (head, query) is one CSR row of 4*M*N corners:
+    one sparse product and one projection per head.
     """
     # from here on these names hold arrays; the tape gets the tensors
     inputs = [*levels, *pts, weights, val_w]
@@ -833,7 +846,6 @@ def sample_levels(
              f"sample_levels: weights must be T x Nh x M x N = {(t, nh, m, n)}, got {weights.shape}")
     _require(val_w.ndim == 3 and val_w.shape[:2] == (nh, c),
              f"sample_levels: val_w must be Nh x C x D with Nh={nh}, C={c}, got {val_w.shape}")
-    d = val_w.shape[2]
     sizes = [lv.shape[1] * lv.shape[2] for lv in levels]
     table = _stack_channel_last(levels) if table is None else table
     _require(table.shape[0] >= sum(sizes) and table.shape[1:] == (c,),
@@ -841,7 +853,6 @@ def sample_levels(
     table = table[: sum(sizes)]
     offsets = np.cumsum([0] + sizes[:-1])
     shapes = [lv.shape for lv in levels]
-    rows = t * m * n  # per head
 
     def level_pieces(h0, h1):
         """Per level, the corners of heads h0..h1-1's points."""
@@ -855,71 +866,59 @@ def sample_levels(
             out[:, :, lvl] = a.T.reshape(t, k, n, 4).swapaxes(0, 1)
         return out
 
-    def blend_matrix(pieces):
-        # row r holds its four corners in corner order; explicit zeros and clipped
-        # duplicates stay, so each output is ((0 + w00 v00) + w01 v01) + ... in order
+    def blend_matrix(h0, h1, pieces):
+        """Heads h0..h1-1's weighted blend, one row per (head, query)."""
+        # a row holds its corners in (level, point, corner) order; explicit zeros
+        # and clipped duplicates stay, so each row sums its 4*M*N terms in order
         cols = head_major([pc[0] for pc in pieces])
         cols += offsets[:, None, None]
-        return sp.csr_array((head_major([pc[2] for pc in pieces]).ravel(), cols.ravel(),
-                             np.arange(0, cols.size + 1, 4)), shape=(cols.size // 4, table.shape[0]))
+        data = head_major([pc[2] for pc in pieces])
+        data *= weights[:, h0:h1].transpose(1, 0, 2, 3)[..., None]
+        return sp.csr_array((data.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 4 * m * n)),
+                            shape=((h1 - h0) * t, table.shape[0]))
 
-    def project(h0, h1, blend):
-        """Heads h0..h1-1's samples (k, T*M*N, C) and their projections (k, T, M*N, D)."""
-        s = (blend @ table).reshape(h1 - h0, rows, c)
-        return s, (s @ val_w[h0:h1]).reshape(h1 - h0, t, m * n, d)
-
-    def weight_rows(h0, h1):
-        """Heads h0..h1-1's weights, one row per query: (k, T, 1, M*N)."""
-        return np.ascontiguousarray(weights[:, h0:h1].transpose(1, 0, 2, 3)).reshape(h1 - h0, t, 1, m * n)
+    def fused_rows(h0, h1, pieces):
+        """U: each query's weighted sum of heads h0..h1-1's samples, (k, T, C)."""
+        return (blend_matrix(h0, h1, pieces) @ table).reshape(h1 - h0, t, c)
 
     def block(h0, h1):
-        """Heads h0..h1-1's weighted sums (k, T, D); their samples die with the call."""
-        v = project(h0, h1, blend_matrix(level_pieces(h0, h1)))[1]
-        return (weight_rows(h0, h1) @ v).reshape(h1 - h0, t, d)
+        """Heads h0..h1-1's outputs (k, T, D); their corners and U die with the call."""
+        return fused_rows(h0, h1, level_pieces(h0, h1)) @ val_w[h0:h1]
 
-    if nh * rows * c < _PARALLEL_VALUES:
+    if nh * t * m * n * c < _PARALLEL_VALUES:
         out = block(0, nh)
     else:
-        out = np.empty((nh, t, d))
+        out = np.empty((nh, t, val_w.shape[2]))
 
         def head(h):
             out[h] = block(h, h + 1)[0]
 
         _on_pool(head, range(nh))
 
-    # the node keeps the points and weights, not their corners and samples:
+    # the node keeps the points and weights, not their corners and blend:
     # the backward recomputes them
     def backward(g):
         pieces = level_pieces(0, nh)
-        g = g.reshape(nh, t, 1, d)
-        # the weighted sum's backward, as for numpy's batched matmul
-        g_v = (np.swapaxes(weight_rows(0, nh), -1, -2) @ g).reshape(nh, rows, d)
-
-        def pooled_grads():
-            # the forward's samples and projections, by its blend matrix rebuilt from `pieces`
-            s, v = project(0, nh, blend_matrix(pieces))
-            g_weights = (g @ np.swapaxes(v, -1, -2)).reshape(nh, t, m, n)
-            return [np.ascontiguousarray(g_weights.transpose(1, 0, 2, 3)), np.swapaxes(s, -1, -2) @ g_v]
-
-        weights_and_val_w = _on_pool(pooled_grads)
-        g_s = (g_v @ np.swapaxes(val_w, -1, -2)).reshape(nh, t, m, n, -1)
-        g_levels, g_pts = [], []
-        for lvl, ((c, h, w), off, (lin, valid, corner_w, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
-            # this level's upstream rows, back in (query, head, point) sample order
-            g_l = np.ascontiguousarray(g_s[:, :, lvl].transpose(1, 0, 2, 3)).reshape(t * nh * n, c)
-            # grid gradient: scatter weighted upstream grads into the 4 corners, corner-
-            # major then by sample; out-of-bounds corners carry weight 0, so their
-            # clipped scatter adds zero
-            g_flat = _scatter_rows(lin.ravel(), g_l, h * w, corner_w.ravel())
+        g_val_w = _on_pool(lambda: np.swapaxes(fused_rows(0, nh, pieces), -1, -2) @ g)
+        g_u = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh * t, c)  # row h*T + q
+        src = np.repeat(np.arange(t)[:, None] + t * np.arange(nh), n)  # each sample's g_u row
+        g_levels, g_pts, g_weights = [], [], np.empty((t, nh, m, n))
+        for lvl, ((_, h, w), off, (lin, valid, corner_w, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
+            w_l = weights[:, :, lvl].ravel()  # samples run (query, head, point)
+            # grid gradient: scatter each sample's g_u row, times its weight and corner
+            # weight, into its 4 corners, corner-major then by sample; out-of-bounds
+            # corners carry weight 0, so their clipped scatter adds zero
+            g_flat = _scatter_rows(lin.ravel(), g_u, h * w, (corner_w * w_l).ravel(), np.tile(src, 4))
             g_levels.append(g_flat.T.reshape(c, h, w))
-            # point gradient: derivative of the blend weights wrt the fractional offsets;
-            # out-of-bounds corners contribute zero, so mask their value dot products
-            dots = _corner_dots(table[off : off + h * w], lin, g_l) * valid  # (4, K)
+            # out-of-bounds corners contribute zero, so mask their dots
+            dots = _corner_dots(table[off : off + h * w], lin, g_u, src) * valid  # (4, K)
+            # point gradient: derivative of the blend weights wrt the fractional offsets
             v00, v01, v10, v11 = dots
             d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
             d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
-            g_pts.append(np.stack([d_fi * h, d_fj * w], axis=1).reshape(t, nh, n, 2))
-        return g_levels + g_pts + weights_and_val_w.result()
+            g_pts.append((np.stack([d_fi * h, d_fj * w], axis=1) * w_l[:, None]).reshape(t, nh, n, 2))
+            g_weights[:, :, lvl] = (corner_w * dots).sum(axis=0).reshape(t, nh, n)
+        return g_levels + g_pts + [g_weights, g_val_w.result()]
 
     return _op("sample_levels", out, inputs, backward)
 

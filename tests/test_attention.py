@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bevmap import attention as att
 from bevmap import tensorad as ta
@@ -233,31 +236,63 @@ def _msda_case(variant, heads, m, n, seed):
     return tokens, ref, levels, params, upstream
 
 
-def _msda_bytes(variant, heads, m, n, seed):
+def _msda_arrays(variant, heads, m, n, seed, probes=()):
     """msda's output and its gradients wrt tokens, ref, each level and each
-    parameter, as bytes, on `_msda_case`'s inputs."""
+    parameter, then wrt each of `probes` (leaves the forward appends to it),
+    on `_msda_case`'s inputs."""
     tokens, ref, levels, params, upstream = _msda_case(variant, heads, m, n, seed)
     with Tape() as tape:
         inputs = [Tensor(tokens), Tensor(ref)] + [Tensor(lv) for lv in levels]
         out = msda(inputs[0], inputs[2:], inputs[1], params).output
         grads = ta.backward(tape, ta.reduce_sum(ta.multiply(out, upstream)))
-        leaves = inputs + list(att.named_parameters(params).values())
-        return [out.values.tobytes()] + [grads.of(x).tobytes() for x in leaves]
+        leaves = inputs + list(att.named_parameters(params).values()) + list(probes)
+        return [out.values] + [grads.of(x) for x in leaves]
+
+
+def _msda_bytes(variant, heads, m, n, seed):
+    """`_msda_arrays`, as bytes."""
+    return [a.tobytes() for a in _msda_arrays(variant, heads, m, n, seed)]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 1), (3, 4)])
 @pytest.mark.parametrize("heads", [1, 2, 8])
 def test_fused_sampler_bytes_equal_per_level_chain(monkeypatch, variant, m, n, heads):
+    # the sampler weights its samples inside its blend rows and projects their
+    # sum, an order of sums the chain does not share: each array must agree
+    # with the chain's within 1e-12 of the largest magnitude among the terms
+    # it sums.  That is its own largest magnitude, except for the attention
+    # logits' gradients: the softmax backward y * (g - sum(y * g)) cancels
+    # where a stage's points nearly coincide (the multi-sample stage's do
+    # here), so their terms are y * g, read from a ones probe on each softmax
+    # output, times the stage's tokens for atn_w
     seed = 100 * m + 10 * n + heads
-    fused = _msda_bytes(variant, heads, m, n, seed)
-    monkeypatch.setattr(att, "_msda_stage", _per_level_stage)
-    chain = _msda_bytes(variant, heads, m, n, seed)
+    fused = _msda_arrays(variant, heads, m, n, seed)
+    stage_tokens, probes, softmax = [], [], ta.softmax
+
+    def chain_stage(tokens, levels, ref, stage, table):
+        stage_tokens.append(np.abs(tokens.values))
+        return _per_level_stage(tokens, levels, ref, stage, table)
+
+    def probed_softmax(x, axis=-1):
+        probes.append(Tensor(np.ones(x.shape)))
+        return ta.multiply(softmax(x, axis), probes[-1])  # times 1.0: the same bytes
+
+    monkeypatch.setattr(att, "_msda_stage", chain_stage)
+    monkeypatch.setattr(ta, "softmax", probed_softmax)
+    chain = _msda_arrays(variant, heads, m, n, seed, probes)
     names = ["output", "tokens", "ref"] + [f"level {i}" for i in range(m)] + list(
         att.named_parameters(init_msda_params(variant, heads, m, n, 16, seed=0)))
-    assert len(fused) == len(chain) == len(names)
+    stages = [name for _, name, _, _ in att._stages(variant, m, n)]
+    terms = [np.abs(g).reshape(len(x), -1) for x, g in zip(stage_tokens, chain[len(names):])]
+    assert len(fused) == len(names) and len(terms) == len(stages)
     for name, a, b in zip(names, fused, chain):
-        assert a == b, name
+        scale = np.abs(b).max()
+        stage, _, field = name.partition(".")
+        if field in ("atn_w", "atn_b"):
+            x, y_g = stage_tokens[stages.index(stage)], terms[stages.index(stage)]
+            scale = max(scale, (x.T @ y_g if field == "atn_w" else y_g.sum(axis=0)).max())
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * scale, name
 
 
 class _CountingPool:
@@ -385,6 +420,33 @@ def test_count_samples_equals_points_the_sampler_produces(monkeypatch, variant, 
     assert sum(produced) == result.sample_count == count_samples(variant, m, n)
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+def test_blend_rows_store_four_corners_per_read(monkeypatch, pooled):
+    # the read count at the kernel: one msda forward's blend matrices store
+    # 4 corners per read, 4 * T * Nh * count_samples entries, so DMD's rows
+    # hold 7 reads per (query, head) against vanilla's 12 at M=3, N=4
+    if pooled:
+        monkeypatch.setattr(ta, "_PARALLEL_VALUES", 0)  # one blend matrix per head
+    stored = []
+
+    def counting(arg, shape):
+        blend = sp.csr_array(arg, shape=shape)
+        stored.append(blend.nnz)
+        return blend
+
+    monkeypatch.setattr(ta, "sp", SimpleNamespace(csr_array=counting))
+    q, r, lv = _random_setup(seed=32, levels=3, points=4)
+    t, nh = len(q), 2
+    reads = {}
+    for variant in ALL_VARIANTS:
+        stored.clear()
+        params = init_msda_params(variant, nh, 3, 4, 16, seed=33)
+        msda(Tensor(q), [Tensor(x) for x in lv], Tensor(r), params)
+        assert sum(stored) == 4 * t * nh * count_samples(variant, 3, 4)
+        reads[variant] = sum(stored) // (4 * t * nh)
+    assert reads == {VARIANT_VANILLA: 12, VARIANT_SCALE_THEN_SAMPLE: 7}
+
+
 def test_sampled_value_reports_cost():
     q, r, lv = _random_setup(seed=14, levels=3, points=4, channels=16, heads=2)
     lv = [Tensor(x) for x in lv[:3]]
@@ -417,4 +479,22 @@ def test_benchmark_rows_shape():
     )
     assert [r["variant"] for r in rows] == [VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE]
     assert rows[0]["sample_count"] == 4 and rows[1]["sample_count"] == 4
-    assert all(r["mean_ms"] > 0 for r in rows)
+    assert all(0 < r["q1_ms"] <= r["p50_ms"] <= r["q3_ms"] for r in rows)
+    ratio = rows[0]["p50_ms"] / rows[1]["p50_ms"]
+    assert rows[0]["vanilla_over_dmd"] == rows[1]["vanilla_over_dmd"] == ratio
+
+
+def test_benchmark_alternates_the_variant_order(monkeypatch):
+    order = []
+    monkeypatch.setattr(att, "msda", lambda tokens, levels, ref, params: order.append(params.variant))
+    rows = att.benchmark_attention(
+        [VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE],
+        repeats=3, channels=16, n_heads=2, num_levels=2, num_points=2,
+        queries=4, h=8, w=8, seed=0, warmup=1,
+    )
+    v, d = VARIANT_VANILLA, VARIANT_SCALE_THEN_SAMPLE
+    assert order == [v, d] + [v, d, d, v, v, d]  # the warm-ups, then each repeat
+    assert [r["variant"] for r in rows] == [v, d]
+    one = att.benchmark_attention([v], repeats=2, channels=16, n_heads=2, num_levels=2, num_points=2,
+                                  queries=4, h=8, w=8, warmup=0)
+    assert one[0]["vanilla_over_dmd"] is None

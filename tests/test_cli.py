@@ -291,9 +291,11 @@ def test_bench_attn_csv(tmp_path):
     ]) == 0
     with open(csv_path) as f:
         rows = [line.strip().split(",") for line in f]
-    assert rows[0] == ["variant", "M", "N", "queries", "mean_ms", "sd_ms", "sample_count"]
+    assert rows[0] == ["variant", "M", "N", "queries", "p50_ms", "q1_ms", "q3_ms", "vanilla_over_dmd",
+                       "sample_count"]
     assert rows[1][0] == "vanilla" and rows[1][-1] == "12"
     assert rows[2][0] == "dmd_scale_then_sample" and rows[2][-1] == "7"
+    assert rows[1][7] == rows[2][7] == repr(float(rows[1][4]) / float(rows[2][4]))
 
 
 @pytest.mark.parametrize("args,message", [
