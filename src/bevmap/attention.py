@@ -8,10 +8,11 @@ multi-sample stage (N points on the largest level), for M+N reads:
 
     scale_then_sample:  q1 = lin1(msda_ms(q));  out = q1 + lin2(msda_sp(q1))
 
-Offsets are generated in units of cells of each level and converted to
-normalized coordinates per level; attention weights are softmax-normalized
-jointly over a stage's (level, point) group per head and query.  This module
-alone knows the stage layout and the parameter names of each variant.
+Offsets are generated in units of cells of each level; the sampler converts
+them to normalized coordinates per level around the reference points.
+Attention weights are softmax-normalized jointly over a stage's (level,
+point) group per head and query.  This module alone knows the stage layout
+and the parameter names of each variant.
 """
 
 from __future__ import annotations
@@ -237,23 +238,12 @@ def _msda_stage(
         raise ContractViolation(f"msda: ref shape {ref.shape} does not match tokens {tokens.shape}")
 
     off = ta.linear(tokens, stage.off_w, stage.off_b)  # (T, Nh*M*N*2)
-    off = ta.reshape(off, (t_n, nh, m, n, 2))
+    off = ta.reshape(off, (t_n, nh, m, n, 2))  # in cells of each level
     atn = ta.linear(tokens, stage.atn_w, stage.atn_b)  # (T, Nh*M*N)
     atn = ta.softmax(ta.reshape(atn, (t_n, nh, m * n)), axis=-1)
     weights = ta.reshape(atn, (t_n, nh, m, n))
-
-    # reference points broadcast to every head/point: (T, Nh, N, 2)
-    ref_e = ta.repeat_axis(ta.reshape(ref, (t_n, 1, 1, 2)), axis=1, times=nh)
-    ref_e = ta.repeat_axis(ref_e, axis=2, times=n)
-
-    pts = []
-    for lvl in range(m):
-        h_l, w_l = levels[lvl].shape[1], levels[lvl].shape[2]
-        off_l = ta.reshape(ta.slice_axis(off, axis=2, start=lvl, stop=lvl + 1), (t_n, nh, n, 2))
-        cell = Tensor(np.broadcast_to(np.array([1.0 / h_l, 1.0 / w_l]), (t_n, nh, n, 2)).copy())
-        pts.append(ta.add(ref_e, ta.multiply(off_l, cell)))
-    # each head's samples, projected and summed with their weights: (Nh, T, C/Nh)
-    agg = ta.sample_levels(levels, pts, weights, stage.val_w, table)
+    # each head's samples at ref + off, projected and summed with their weights: (Nh, T, C/Nh)
+    agg = ta.sample_levels(levels, ref, off, weights, stage.val_w, table)
     return ta.reduce_sum(ta.matmul(agg, stage.out_w), axis=0)  # (T, C)
 
 

@@ -367,12 +367,10 @@ def cmd_stability_report(runs: list[str], out_path: str) -> None:
 def cmd_bench_attn(cfg: RunConfig, variants: list[str], out_path: str) -> None:
     if cfg.bench.repeats < 1:
         raise CliError(f"bench.repeats must be >= 1, got {cfg.bench.repeats}")
-    try:
-        rows = benchmark_attention(
-            [BENCH_VARIANTS[v] for v in variants], seed=cfg.seed, **dataclasses.asdict(cfg.bench)
-        )
-    except ContractViolation as e:
-        raise CliError(f"bench config: {e}") from e
+    d = cfg.decoder_cfg  # the model's shape, checked when the config was parsed
+    rows = benchmark_attention([BENCH_VARIANTS[v] for v in variants], channels=d.channels, n_heads=d.n_heads,
+                               num_levels=d.num_levels, num_points=d.num_points_attn, seed=cfg.seed,
+                               **dataclasses.asdict(cfg.bench))
     _snapshot(cfg, "bench-attn")
     ratio = rows[0]["vanilla_over_dmd"]
     table = [["variant", "M", "N", "queries", "p50_ms", "q1_ms", "q3_ms", "vanilla_over_dmd", "sample_count"]]

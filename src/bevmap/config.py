@@ -115,17 +115,13 @@ class EvalSection:
 
 @dataclass
 class BenchSection:
-    channels: int = 256
-    n_heads: int = 8
-    num_levels: int = 3
-    num_points: int = 4
     queries: int = 1000
     h: int = 200
     w: int = 100
     repeats: int = 100  # checked by bench-attn itself
 
     def __post_init__(self):
-        for name in ("channels", "n_heads", "num_levels", "num_points", "queries", "h", "w"):
+        for name in ("queries", "h", "w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -23,6 +23,7 @@ gradients against central finite differences.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -657,8 +658,11 @@ def add_rows(x: Tensor, b: Tensor) -> Tensor:
 # projection pass every sample and gradient through exactly, so it stays
 # byte-equal to the dense reference.
 #
-# A call works in head blocks.  A block computes its own points' corners,
-# their weighted blend rows, U and U @ val_w[h], and keeps only the output.
+# A call works in head blocks.  A block computes its own points' locations,
+# ref + off * cell size on each level as Deformable DETR's sampler does, their
+# corners, their weighted blend rows, U and U @ val_w[h], and keeps only the
+# output.  So no call holds every level's locations, and a caller records no
+# location chain on the tape.
 # A forward call of fewer than _PARALLEL_VALUES sampled values (Nh*T*M*N*C)
 # is one block of all heads on the calling thread: the C=32 training shapes
 # make at most ~1.0 M values, and there hand-offs cost more than they save.
@@ -670,19 +674,20 @@ def add_rows(x: Tensor, b: Tensor) -> Tensor:
 # not depend on the path.  A head's rows are never split further: a block of
 # rows of A @ B is not byte-equal to that block's own product with B.
 #
-# The tape node keeps the points (16 B per sample), the weights, the shared
-# table and val_w, and recomputes the rest in the backward (Chen et al., arXiv
-# 1604.06174: recompute instead of keep).  The backward maps the upstream
-# gradient back through the projection, g_u = g @ val_w[h]^T, one (T, C)
-# block per head.  The calling thread recomputes the corners with the
-# forward's code.  Per level it scatters each sample's g_u row, times its
-# weight and corner weight, into the grid gradient, and dots each corner's
-# table row with that g_u row once: the dots times the weight give the point
-# gradients, and the dots summed with the corner weights give the weight
-# gradients.  One pool task rebuilds the weighted blend from those corners,
-# recomputes U and returns val_w's gradient U^T @ g.  Every pool task goes
-# through `_on_pool`.  This module is the only one in the package that
-# starts threads.
+# The tape node keeps the reference points and offsets (16 B per sample),
+# the weights, the shared table and val_w, and recomputes the rest in the
+# backward (Chen et al., arXiv 1604.06174: recompute instead of keep).  The
+# backward maps the upstream gradient back through the projection,
+# g_u = g @ val_w[h]^T, one (T, C) block per head.  The calling thread
+# recomputes the locations and corners with the forward's code.  Per level it
+# scatters each sample's g_u row, times its weight and corner weight, into
+# the grid gradient, and dots each corner's table row with that g_u row once:
+# the dots times the weight give the location gradients (times the cell
+# size, the offsets'; summed, ref's), and the dots summed with the corner
+# weights give the weight gradients.  One pool task rebuilds the weighted
+# blend from those corners, recomputes U and returns val_w's gradient
+# U^T @ g.  Every pool task goes through `_on_pool`.  This module is the only
+# one in the package that starts threads.
 # --------------------------------------------------------------------------
 
 def _usable_cpus() -> int:
@@ -814,15 +819,18 @@ def level_table(levels: Sequence[Tensor]) -> np.ndarray:
 
 def sample_levels(
     levels: Sequence[Tensor],
-    pts: Sequence[Tensor],
+    ref: Tensor,
+    off: Tensor,
     weights: Tensor,
     val_w: Tensor,
     table: np.ndarray | None = None,
 ) -> Tensor:
-    """Bilinearly sample M C x h_l x w_l levels, level l at the normalized
-    (row, col) points pts[l] of shape (T, Nh, N, 2), sum each query's M*N
-    samples of head h with its weights[:, h] of shape (T, M, N), and project
-    that sum by val_w[h] of shape (C, D).
+    """Bilinearly sample M C x h_l x w_l levels at N points per level for each
+    query and head, level l at the normalized (row, col) locations
+    ref + off[:, :, l] * (1/h_l, 1/w_l), for reference points ref (T, 2) and
+    offsets off (T, Nh, M, N, 2) in cells of each level.  Sum each query's
+    M*N samples of head h with its weights[:, h] of shape (T, M, N), and
+    project that sum by val_w[h] of shape (C, D).
 
     Returns (Nh, T, D).  `table` is `level_table` of `levels` or of a list
     they begin; it is built here when omitted.  The weights are folded into
@@ -830,17 +838,15 @@ def sample_levels(
     one sparse product and one projection per head.
     """
     # from here on these names hold arrays; the tape gets the tensors
-    inputs = [*levels, *pts, weights, val_w]
-    levels, pts = [lv.values for lv in levels], [x.values for x in pts]
+    inputs = [*levels, ref, off, weights, val_w]
+    levels, ref, off = [lv.values for lv in levels], ref.values, off.values
     weights, val_w = weights.values, val_w.values
     m = len(levels)
     _check_levels(levels)
-    _require(len(pts) == m, f"sample_levels: {m} levels but {len(pts)} point tensors")
-    for x in pts:
-        _require(x.ndim == 4 and x.shape[-1] == 2, f"sample_levels: points must be T x Nh x N x 2, got {x.shape}")
-        _require(x.shape[:-1] == pts[0].shape[:-1],
-                 f"sample_levels: point tensors differ in leading shape, {[x.shape for x in pts]}")
-    t, nh, n = pts[0].shape[:-1]
+    _require(off.ndim == 5 and off.shape[2::2] == (m, 2) and ref.shape == (off.shape[0], 2),
+             f"sample_levels: ref must be T x 2 and off T x Nh x M x N x 2 with M={m}, "
+             f"got {ref.shape} and {off.shape}")
+    t, nh, _, n, _ = off.shape
     c = levels[0].shape[0]
     _require(weights.shape == (t, nh, m, n),
              f"sample_levels: weights must be T x Nh x M x N = {(t, nh, m, n)}, got {weights.shape}")
@@ -853,10 +859,12 @@ def sample_levels(
     table = table[: sum(sizes)]
     offsets = np.cumsum([0] + sizes[:-1])
     shapes = [lv.shape for lv in levels]
+    cells = [np.array([1.0 / h, 1.0 / w]) for _, h, w in shapes]
 
     def level_pieces(h0, h1):
-        """Per level, the corners of heads h0..h1-1's points."""
-        return [_bilinear_pieces(h, w, x[:, h0:h1].reshape(-1, 2)) for (_, h, w), x in zip(shapes, pts)]
+        """Per level, the corners of heads h0..h1-1's locations."""
+        return [_bilinear_pieces(h, w, (ref[:, None, None] + off[:, h0:h1, lvl] * cell).reshape(-1, 2))
+                for lvl, ((_, h, w), cell) in enumerate(zip(shapes, cells))]
 
     def head_major(per_level):
         """(4, T*k*N) per level -> (k, T, M, N, 4): (head, query, level, point, corner) order."""
@@ -895,15 +903,15 @@ def sample_levels(
 
         _on_pool(head, range(nh))
 
-    # the node keeps the points and weights, not their corners and blend:
-    # the backward recomputes them
+    # the node keeps ref, the offsets and the weights, not their locations,
+    # corners and blend: the backward recomputes them
     def backward(g):
         pieces = level_pieces(0, nh)
         g_val_w = _on_pool(lambda: np.swapaxes(fused_rows(0, nh, pieces), -1, -2) @ g)
         g_u = (g @ np.swapaxes(val_w, -1, -2)).reshape(nh * t, c)  # row h*T + q
         src = np.repeat(np.arange(t)[:, None] + t * np.arange(nh), n)  # each sample's g_u row
-        g_levels, g_pts, g_weights = [], [], np.empty((t, nh, m, n))
-        for lvl, ((_, h, w), off, (lin, valid, corner_w, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
+        g_levels, g_locs, g_off, g_weights = [], [], np.empty(off.shape), np.empty((t, nh, m, n))
+        for lvl, ((_, h, w), start, (lin, valid, corner_w, fi, fj)) in enumerate(zip(shapes, offsets, pieces)):
             w_l = weights[:, :, lvl].ravel()  # samples run (query, head, point)
             # grid gradient: scatter each sample's g_u row, times its weight and corner
             # weight, into its 4 corners, corner-major then by sample; out-of-bounds
@@ -911,14 +919,21 @@ def sample_levels(
             g_flat = _scatter_rows(lin.ravel(), g_u, h * w, (corner_w * w_l).ravel(), np.tile(src, 4))
             g_levels.append(g_flat.T.reshape(c, h, w))
             # out-of-bounds corners contribute zero, so mask their dots
-            dots = _corner_dots(table[off : off + h * w], lin, g_u, src) * valid  # (4, K)
-            # point gradient: derivative of the blend weights wrt the fractional offsets
+            dots = _corner_dots(table[start : start + h * w], lin, g_u, src) * valid  # (4, K)
+            # location gradient: derivative of the blend weights wrt the fractional offsets
             v00, v01, v10, v11 = dots
             d_fi = -(1.0 - fj) * v00 - fj * v01 + (1.0 - fj) * v10 + fj * v11
             d_fj = -(1.0 - fi) * v00 + (1.0 - fi) * v01 - fi * v10 + fi * v11
-            g_pts.append((np.stack([d_fi * h, d_fj * w], axis=1) * w_l[:, None]).reshape(t, nh, n, 2))
+            g_locs.append((np.stack([d_fi * h, d_fj * w], axis=1) * w_l[:, None]).reshape(t, nh, n, 2))
+            # the sums of a location chain on the tape: its zero-filled level slices
+            # turned -0.0 into +0.0 (x + -0.0 is x), and its broadcast of ref summed
+            # over the levels in reverse, then points, then heads.  numpy's sum starts
+            # from +0.0, so one head and point (bilinear_sample) skip the last two
+            np.add(g_locs[-1] * cells[lvl], 0.0 if m > 1 else -0.0, out=g_off[:, :, lvl])
             g_weights[:, :, lvl] = (corner_w * dots).sum(axis=0).reshape(t, nh, n)
-        return g_levels + g_pts + [g_weights, g_val_w.result()]
+        g_loc = functools.reduce(np.add, g_locs[::-1])
+        g_ref = g_loc.reshape(t, 2) if nh * n == 1 else g_loc.sum(axis=2).sum(axis=1)
+        return g_levels + [g_ref, g_off, g_weights, g_val_w.result()]
 
     return _op("sample_levels", out, inputs, backward)
 
@@ -926,13 +941,13 @@ def sample_levels(
 def bilinear_sample(grid: Tensor, pts: Tensor) -> Tensor:
     """Sample a C x h x w grid at K normalized (row, col) points -> K x C.
 
-    The one-level, one-head, one-point case of `sample_levels`, with unit
-    weights and the identity projection, which pass every finite sample and
-    gradient through exactly.
+    The one-level, one-head, one-point case of `sample_levels`, with the
+    points as reference points, zero offsets, unit weights and the identity
+    projection, which pass every finite sample and gradient through exactly.
     """
     _require(len(pts.shape) == 2 and pts.shape[1] == 2, f"bilinear_sample: pts must be K x 2, got {pts.shape}")
     k = pts.shape[0]
     unit = Tensor(np.ones((k, 1, 1, 1)))
     identity = Tensor(np.eye(grid.shape[0])[None])
-    out = sample_levels([grid], [reshape(pts, (k, 1, 1, 2))], unit, identity)
+    out = sample_levels([grid], pts, Tensor(np.zeros((k, 1, 1, 1, 2))), unit, identity)
     return reshape(out, (k, out.shape[-1]))

@@ -108,9 +108,9 @@ def test_attention_weights_normalized_all_variants(monkeypatch):
     q, r, lv = _random_setup(seed=4)
     sample_levels, groups = ta.sample_levels, []
 
-    def recording(levels, pts, weights, val_w, table=None):  # each stage's weights, (T, Nh, M, N)
+    def recording(levels, ref, off, weights, val_w, table=None):  # each stage's weights, (T, Nh, M, N)
         groups.append(weights.values)
-        return sample_levels(levels, pts, weights, val_w, table)
+        return sample_levels(levels, ref, off, weights, val_w, table)
 
     monkeypatch.setattr(ta, "sample_levels", recording)
     for variant in ALL_VARIANTS:
@@ -351,12 +351,26 @@ def test_two_concurrent_pooled_calls_give_equal_bytes(monkeypatch):
 def test_stage_weights_its_samples_inside_the_sampler(variant):
     # the softmax weights reach the sampler through one reshape, and its
     # output goes straight to the output projection: no transpose or matmul
-    # node weights the samples in between
+    # node weights the samples in between.  The sampler places its samples
+    # itself: it takes the caller's ref and the offset linear's reshape, and
+    # no slice, repeat, multiply, add or constant leaf builds locations
     q, r, lv = _random_setup(seed=40, levels=2, points=3)
     params = init_msda_params(variant, 2, 2, 3, 16, seed=41)
+    levels, ref = [Tensor(x) for x in lv], Tensor(r)
     with Tape() as tape:
-        msda(Tensor(q), [Tensor(x) for x in lv], Tensor(r), params)
+        msda(Tensor(q), levels, ref, params)
     kinds = [node.kind for node in tape.nodes]
+    own = {x._nid for x in [*levels, ref, *att.named_parameters(params).values()]}
+    for attr, _, _, _ in att._stages(variant, 2, 3):
+        off_w = getattr(params, attr).off_w._nid
+        off_linear = next(i for i, node in enumerate(tape.nodes) if node.kind == "linear" and node.inputs[1] == off_w)
+        sampler = kinds.index("sample_levels", off_linear)
+        between = range(off_linear + 1, sampler)
+        assert not {kinds[i] for i in between} & {"slice", "repeat", "multiply", "add"}
+        assert {i for i in between if kinds[i] == "leaf"} <= own
+        ref_in, off_in = tape.nodes[sampler].inputs[-4:-2]
+        assert ref_in == ref._nid
+        assert tape.nodes[off_in].kind == "reshape" and tape.nodes[off_in].inputs == (off_linear,)
     softmaxes = [i for i, kind in enumerate(kinds) if kind == "softmax"]
     assert len(softmaxes) == len(att._stages(variant, 2, 3))
     for i in softmaxes:
@@ -405,11 +419,11 @@ def test_count_samples_equals_points_the_sampler_produces(monkeypatch, variant, 
     produced = []
     sample_levels = ta.sample_levels
 
-    def counting(levels, pts, weights, val_w, table=None):
-        out = sample_levels(levels, pts, weights, val_w, table)
-        queries, heads, points, _ = pts[0].shape  # each level's (T, Nh, N, 2)
+    def counting(levels, ref, off, weights, val_w, table=None):
+        out = sample_levels(levels, ref, off, weights, val_w, table)
+        queries, heads, lvls, points, _ = off.shape  # (T, Nh, M, N, 2)
         assert heads == 2 and out.shape[:2] == (heads, queries)
-        produced.append(len(pts) * points)
+        produced.append(lvls * points)
         return out
 
     monkeypatch.setattr(ta, "sample_levels", counting)

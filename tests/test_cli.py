@@ -286,8 +286,8 @@ def test_bench_attn_csv(tmp_path):
     assert cli.main([
         "bench-attn", "--variant", "vanilla", "--variant", "scale-then-sample",
         "--repeats", "2", "--out", out, "--out-file", csv_path,
-        "--set", "bench.queries=20", "--set", "bench.channels=16",
-        "--set", "bench.h=20", "--set", "bench.w=10", "--set", "bench.n_heads=2",
+        "--set", "bench.queries=20", "--set", "features.channels=16", "--set", "features.num_levels=3",
+        "--set", "bench.h=20", "--set", "bench.w=10", "--set", "decoder.n_heads=2",
     ]) == 0
     with open(csv_path) as f:
         rows = [line.strip().split(",") for line in f]
@@ -300,7 +300,6 @@ def test_bench_attn_csv(tmp_path):
 
 @pytest.mark.parametrize("args,message", [
     (["--repeats", "0"], "bench.repeats must be >= 1"),
-    (["--repeats", "1", "--set", "bench.channels=30"], "channels 30 not divisible by heads 8"),
 ])
 def test_bench_attn_bad_config_is_cli_error(tmp_path, capsys, args, message):
     rc = cli.main([
@@ -485,10 +484,10 @@ def _one_line_error(capsys) -> str:
     ("fit-priors", ["--set", "priors.n_pri=1.5"], "error (ConfigError): priors.n_pri must be an integer, got 1.5"),
     ("bench-attn", ["--set", "bench.repeats=1.5"], "error (ConfigError): bench.repeats must be an integer, got 1.5"),
     ("train", ["--set", "decoder.n_heads=0"], "error (ConfigError): n_heads must be >= 1, got 0"),
-    ("bench-attn", ["--set", "bench.n_heads=0"], "error (ConfigError): bench: n_heads must be >= 1, got 0"),
+    ("bench-attn", ["--set", "decoder.n_heads=0"], "error (ConfigError): n_heads must be >= 1, got 0"),
     ("bench-attn", ["--set", "bench.h=0"], "error (ConfigError): bench: h must be >= 1, got 0"),
     ("train", ["--set", "decoder.ffn_dim=0"], "error (ConfigError): ffn_dim must be >= 1, got 0"),
-    ("bench-attn", ["--set", "bench.channels=0"], "error (ConfigError): bench: channels must be >= 1, got 0"),
+    ("bench-attn", ["--set", "features.channels=0"], "error (ConfigError): channels must be >= 1, got 0"),
     ("train", ["--set", "features.num_levels=0"], "error (ConfigError): features: num_levels must be >= 1, got 0"),
     ("train", ["--set", "decoder.num_points_attn=0"], "error (ConfigError): num_points_attn must be >= 1, got 0"),
     ("fit-priors", ["--set", "priors.n_pri=-1"], "error (CliError): {data}: abstract: n_pri must be >= 0, got -1"),
@@ -520,6 +519,8 @@ def _one_line_error(capsys) -> str:
     ("gen-data", ["--set", "scenes.crossing_size=[20,25]"],
      "error (ConfigError): scenes: crossing_size up to 25 m gives crossings 35.4 m across, which do not fit extent "
      "60.0x30.0 m"),
+    ("bench-attn", ["--set", "features.channels=30"],
+     "error (ConfigError): channels must be divisible by n_heads and by 4"),
 ])
 def test_bad_config_or_input_is_one_line(pipeline, tall_data, mixed_data, wide_data, blown_ckpt, tmp_path, capsys,
                                          command, args, expected):

@@ -234,11 +234,12 @@ def test_sample_levels_node_keeps_no_samples_and_backward_frees_every_context():
     rng = np.random.default_rng(8)
     t, nh, n, c = 5, 2, 3, 6
     levels = [Tensor(rng.normal(size=(c, 4, 5))), Tensor(rng.normal(size=(c, 2, 3)))]
-    pts = [Tensor(rng.uniform(-0.1, 1.1, size=(t, nh, n, 2))) for _ in levels]
+    ref = Tensor(rng.uniform(-0.1, 1.1, size=(t, 2)))
+    off = Tensor(rng.uniform(-1.5, 1.5, size=(t, nh, len(levels), n, 2)))
     weights = Tensor(rng.uniform(size=(t, nh, len(levels), n)))
     val_w = Tensor(rng.normal(size=(nh, c, 3)))
     with Tape() as tape:
-        out = ta.sample_levels(levels, pts, weights, val_w)
+        out = ta.sample_levels(levels, ref, off, weights, val_w)
         kept = inspect.getclosurevars(tape.nodes[out._nid].backward).nonlocals
         sizes = {a.size for a in _arrays(list(kept.values()))}
         assert sizes and nh * t * len(levels) * n * c not in sizes
@@ -249,20 +250,23 @@ def test_sample_levels_node_keeps_no_samples_and_backward_frees_every_context():
 def test_sample_levels_node_keeps_its_points_not_their_corners():
     rng = np.random.default_rng(9)
     t, nh, n, c = 5, 2, 3, 6
-    levels = [Tensor(rng.normal(size=(c, 4, 5))), Tensor(rng.normal(size=(c, 2, 3)))]
-    pts = [Tensor(rng.uniform(-0.1, 1.1, size=(t, nh, n, 2))) for _ in levels]
+    # three levels: at two, the offsets (T, Nh, 2, N, 2) would be as large as one level's corner array
+    levels = [Tensor(rng.normal(size=(c, h, w))) for h, w in [(4, 5), (2, 3), (1, 2)]]
+    ref = Tensor(rng.uniform(-0.1, 1.1, size=(t, 2)))
+    off = Tensor(rng.uniform(-1.5, 1.5, size=(t, nh, len(levels), n, 2)))
     weights = Tensor(rng.uniform(size=(t, nh, len(levels), n)))
     val_w = Tensor(rng.normal(size=(nh, c, 3)))
     table = ta.level_table(levels)
     with Tape() as tape:
-        out = ta.sample_levels(levels, pts, weights, val_w, table)
+        out = ta.sample_levels(levels, ref, off, weights, val_w, table)
         kept = list(_reachable(list(inspect.getclosurevars(tape.nodes[out._nid].backward).nonlocals.values())))
     assert not [x for x in kept if hasattr(x, "indptr")]  # no blend matrix
     arrays = list(_arrays(kept))
     assert 4 * t * nh * n not in {a.size for a in arrays}  # no corner array of any level
-    # beyond the level offsets: the points, the weights, the table and val_w, as the caller passed them
+    # beyond the level offsets and cell sizes: ref, the offsets, the weights, the table and val_w, as the
+    # caller passed them
     large = [a for a in arrays if a.size > len(levels)]
-    assert large and all(any(a is x.values for x in [*pts, weights, val_w]) or a.base is table for a in large)
+    assert large and all(any(a is x.values for x in [ref, off, weights, val_w]) or a.base is table for a in large)
 
 
 def test_sum_of_losses_gradients_add():
@@ -389,15 +393,16 @@ def _case_scale(rng):
 
 def _case_sample_levels(rng):
     levels = [rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 3, 2))]
-    pts = [rng.uniform(0.05, 0.95, size=(2, 2, 1, 2)) for _ in levels]  # 2 queries x 2 heads x 1 point
+    ref = rng.uniform(-0.1, 1.1, size=(2, 2))  # 2 queries, some outside [0, 1]
+    off = rng.uniform(-1.5, 1.5, size=(2, 2, 2, 1, 2))  # queries x heads x levels x points, in cells
     weights = rng.uniform(0.1, 1.0, size=(2, 2, 2, 1))  # queries x heads x levels x points
     val_w = rng.normal(size=(2, 2, 3))  # 2 heads, C=2, D=3
 
-    def fn(l0, l1, p0, p1, wt, vw):
-        out = ta.sample_levels([l0, l1], [p0, p1], wt, vw)
+    def fn(l0, l1, r, o, wt, vw):
+        out = ta.sample_levels([l0, l1], r, o, wt, vw)
         return ta.reduce_sum(ta.multiply(out, out))
 
-    return fn, levels + pts + [weights, val_w]
+    return fn, levels + [ref, off, weights, val_w]
 
 
 def _case_squared_hinge(rng):
@@ -688,13 +693,16 @@ def test_bilinear_matches_dense_reference_bytes(c, h, w, k):
     assert sample_major.tobytes() != want[1].tobytes()
 
 
-def _formula_sample_levels(grids, pts, weights, val_w, g):
-    """Reference chain for `sample_levels`: `_dense_bilinear` on each level,
-    then numpy's batched projection and weighting matmuls.  Returns the
-    output and the gradients wrt each grid, each point array, the weights
-    and val_w for upstream gradient g (Nh, T, D)."""
+def _formula_sample_levels(grids, ref, off, weights, val_w, g):
+    """Reference chain for `sample_levels`: each level's locations
+    ref + off[:, :, l] * (1/h, 1/w), `_dense_bilinear` on each level, then
+    numpy's batched projection and weighting matmuls.  Returns the output
+    and the gradients wrt each grid, ref, off, the weights and val_w for
+    upstream gradient g (Nh, T, D)."""
     t, nh, m, n = weights.shape
     c, d = grids[0].shape[0], val_w.shape[2]
+    cells = [np.array([1.0 / grid.shape[1], 1.0 / grid.shape[2]]) for grid in grids]
+    pts = [ref[:, None, None] + off[:, :, lvl] * cell for lvl, cell in enumerate(cells)]
     samples = np.empty((nh, t, m, n, c))
     for lvl, (grid, x) in enumerate(zip(grids, pts)):
         out_l = _dense_bilinear(grid, x.reshape(-1, 2), np.zeros((t * nh * n, c)))[0]
@@ -714,7 +722,9 @@ def _formula_sample_levels(grids, pts, weights, val_w, g):
         _, g_grid, g_x = _dense_bilinear(grid, x.reshape(-1, 2), g_l)
         g_grids.append(g_grid)
         g_pts.append(g_x.reshape(x.shape))
-    return [out, *g_grids, *g_pts, g_weights, g_val_w]
+    g_off = np.stack([g_x * cell for g_x, cell in zip(g_pts, cells)], axis=2)
+    g_ref = sum(g_pts[::-1]).sum(axis=2).sum(axis=1)
+    return [out, *g_grids, g_ref, g_off, g_weights, g_val_w]
 
 
 @pytest.mark.parametrize("pooled", [False, True])
@@ -727,19 +737,20 @@ def test_sample_levels_bytes_equal_formula_chain(monkeypatch, pooled):
     rng = np.random.default_rng(29)
     t, nh, n, c, d = 7, 3, 2, 5, 4
     grids = [rng.normal(size=(c, 6, 7)), rng.normal(size=(c, 3, 4))]
-    pts = [rng.uniform(-0.2, 1.2, size=(t, nh, n, 2)) for _ in grids]  # some corners fall outside
-    pts[0][0, :, :, 0] = 1.0 - 0.25 / 6  # last row: clipped bottom corners collide
-    pts[1][1] = (3.0, -2.0)  # all four weights zero
+    ref = rng.uniform(-0.2, 1.2, size=(t, 2))  # some corners fall outside
+    off = rng.uniform(-1.5, 1.5, size=(t, nh, len(grids), n, 2))  # up to 1.5 cells
+    ref[0, 0], off[0, :, 0, :, 0] = 1.0 - 0.25 / 6, 0.0  # last row: clipped bottom corners collide
+    off[1, :, 1] = (12.0, -12.0)  # 4 and 3 grid widths away: all four weights zero
     weights = rng.uniform(size=(t, nh, len(grids), n))
     val_w = rng.normal(size=(nh, c, d))
     g = rng.normal(size=(nh, t, d))
     with Tape() as tape:
-        leaves = [Tensor(x) for x in [*grids, *pts, weights, val_w]]
-        out = ta.sample_levels(leaves[:2], leaves[2:4], leaves[4], leaves[5])
+        leaves = [Tensor(x) for x in [*grids, ref, off, weights, val_w]]
+        out = ta.sample_levels(leaves[:2], *leaves[2:])
         grads = ta.backward(tape, ta.reduce_sum(ta.multiply(out, Tensor(g))))
     got = [out.values] + [grads.of(x) for x in leaves]
-    want = _formula_sample_levels(grids, pts, weights, val_w, g)
-    names = ["output", "level 0", "level 1", "points 0", "points 1", "weights", "val_w"]
+    want = _formula_sample_levels(grids, ref, off, weights, val_w, g)
+    names = ["output", "level 0", "level 1", "ref", "off", "weights", "val_w"]
     for name, a, b in zip(names, got, want, strict=True):
         assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
@@ -783,7 +794,8 @@ def test_pooled_call_holds_one_head_of_samples_per_worker(monkeypatch):
     rng = np.random.default_rng(31)
     t, nh, m, n, c, d = 250, 8, 1, 16, 64, 8
     level = Tensor(rng.normal(size=(c, 40, 50)))
-    pts = Tensor(rng.uniform(size=(t, nh, n, 2)))
+    ref = Tensor(rng.uniform(size=(t, 2)))
+    off = Tensor(rng.uniform(-2.0, 2.0, size=(t, nh, m, n, 2)))
     weights = Tensor(rng.uniform(size=(t, nh, m, n)))
     val_w = Tensor(rng.normal(size=(nh, c, d)))
     rows = t * m * n  # samples per head
@@ -791,10 +803,10 @@ def test_pooled_call_holds_one_head_of_samples_per_worker(monkeypatch):
     head_b = 8 * t * (c + d)  # one head's U and output
     slack = 192 * rows  # one head's corners (84 B a sample) and blend matrix (48 B), and their build
     assert slack + head_b < 8 * rows * c  # one head's samples alone would exceed a worker's share
-    ta.sample_levels([level], [pts], weights, val_w)  # the pool's threads start outside the trace
+    ta.sample_levels([level], ref, off, weights, val_w)  # the pool's threads start outside the trace
     tracemalloc.start()
     try:
-        ta.sample_levels([level], [pts], weights, val_w)
+        ta.sample_levels([level], ref, off, weights, val_w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -807,43 +819,52 @@ def test_usable_cpus_counts_every_cpu_where_the_os_has_no_affinity_call(monkeypa
     assert ta._usable_cpus() == (ta.os.cpu_count() or 1)
 
 
+_REF_OFF = "ref must be T x 2 and off T x Nh x M x N x 2"
+
+
+# pts_shapes: the shapes of ref and off, which place the points
 @pytest.mark.parametrize("level_shapes,pts_shapes,match", [
-    ([(2, 4, 4), (3, 2, 2)], [(1, 1, 1, 2)] * 2, "levels differ in channels"),
-    ([(2, 4)], [(1, 1, 1, 2)], "levels must be C x h x w"),
-    ([(2, 4, 4), (2, 2, 2)], [(1, 1, 1, 2), (1, 2, 1, 2)], "differ in leading shape"),
-    ([(2, 4, 4)], [(1, 1, 1, 3)], "points must be T x Nh x N x 2"),
+    ([(2, 4, 4), (3, 2, 2)], [(1, 2), (1, 1, 2, 1, 2)], "levels differ in channels"),
+    ([(2, 4)], [(1, 2), (1, 1, 1, 1, 2)], "levels must be C x h x w"),
+    ([(2, 4, 4), (2, 2, 2)], [(2, 2), (1, 1, 2, 1, 2)], _REF_OFF + r" with M=2, got \(2, 2\)"),
+    ([(2, 4, 4)], [(1, 2), (1, 1, 1, 1, 3)], _REF_OFF),
+    ([(2, 4, 4)], [(1, 2), (1, 1, 1, 2)], _REF_OFF + r" with M=1, got \(1, 2\) and \(1, 1, 1, 2\)"),
+    ([(2, 4, 4), (2, 2, 2)], [(1, 2), (1, 1, 3, 1, 2)], _REF_OFF + " with M=2"),
+    ([(2, 4, 4)], [(1, 1, 2), (1, 1, 1, 1, 2)], _REF_OFF + r" with M=1, got \(1, 1, 2\)"),
 ])
 def test_sample_levels_contract_violations(level_shapes, pts_shapes, match):
     levels = [Tensor(np.zeros(s)) for s in level_shapes]
-    pts = [Tensor(np.zeros(s)) for s in pts_shapes]
-    t, nh, n = pts_shapes[0][:3]
+    ref_shape, off_shape = pts_shapes
+    t, nh, n = off_shape[0], off_shape[1], off_shape[-2]
     weights = Tensor(np.zeros((t, nh, len(levels), n)))
     val_w = Tensor(np.zeros((nh, level_shapes[0][0], 1)))
     with pytest.raises(ContractViolation, match=match) as err:
-        ta.sample_levels(levels, pts, weights, val_w)
+        ta.sample_levels(levels, Tensor(np.zeros(ref_shape)), Tensor(np.zeros(off_shape)), weights, val_w)
     assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("weights_shape", [(2, 3, 1, 4), (3, 2, 4), (3, 1, 1, 4), (2, 2, 1, 4), (3, 2, 2, 4)])
 def test_sample_levels_refuses_weights_not_queries_heads_levels_points(weights_shape):
-    level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 4, 2)))  # T=3, 2 heads, M=1, N=4
+    # T=3, 2 heads, M=1, N=4
+    level, ref, off = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2, 1, 4, 2)))
     with pytest.raises(ContractViolation, match=r"weights must be T x Nh x M x N = \(3, 2, 1, 4\)") as err:
-        ta.sample_levels([level], [pts], Tensor(np.zeros(weights_shape)), Tensor(np.zeros((2, 2, 1))))
+        ta.sample_levels([level], ref, off, Tensor(np.zeros(weights_shape)), Tensor(np.zeros((2, 2, 1))))
     assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("val_w_shape", [(2, 3), (1, 2, 3), (2, 3, 3), (2, 2, 3, 1)])
 def test_sample_levels_refuses_a_val_w_not_heads_by_channels(val_w_shape):
-    level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 1, 2)))  # C=2, 2 heads
+    # C=2, 2 heads
+    level, ref, off = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2, 1, 1, 2)))
     with pytest.raises(ContractViolation, match="val_w must be Nh x C x D with Nh=2, C=2") as err:
-        ta.sample_levels([level], [pts], Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros(val_w_shape)))
+        ta.sample_levels([level], ref, off, Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.zeros(val_w_shape)))
     assert "\n" not in str(err.value)
 
 
 def test_sample_levels_refuses_a_table_too_short_for_its_levels():
-    level, pts = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 1, 1, 2)))
+    level, ref, off = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 1, 1, 2)))
     with pytest.raises(ContractViolation, match="does not hold 16 rows of 2 channels"):
-        ta.sample_levels([level], [pts], Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros((1, 2, 2))),
+        ta.sample_levels([level], ref, off, Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros((1, 2, 2))),
                          table=np.zeros((15, 2)))
 
 

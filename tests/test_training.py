@@ -110,9 +110,9 @@ def test_fused_sampler_trains_close_to_the_formula_chain(world, monkeypatch):
         params, eff_bank, eff_cfg = setup_run(dcfg, bank, tcfg)
         return [row["loss_total"] for row in train(params, eff_bank, dataset, eff_cfg, tcfg).log]
 
-    def formula_op(levels, pts, weights, val_w, table=None):
-        inputs = [*levels, *pts, weights, val_w]
-        arrays = [lv.values for lv in levels], [x.values for x in pts], weights.values, val_w.values
+    def formula_op(levels, ref, off, weights, val_w, table=None):
+        inputs = [*levels, ref, off, weights, val_w]
+        arrays = [lv.values for lv in levels], ref.values, off.values, weights.values, val_w.values
         t, nh = weights.shape[:2]
         out = _formula_sample_levels(*arrays, np.zeros((nh, t, val_w.shape[2])))[0]
         return ta._op("sample_levels", out, inputs, lambda g: _formula_sample_levels(*arrays, g)[1:])
